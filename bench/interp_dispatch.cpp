@@ -1,33 +1,34 @@
-// Interpreter dispatch throughput across the three tiers — decode-every-step
-// (DispatchMode::kBaseline, reported as "fallback"), the predecoded cached
-// path ("cached") and the direct-threaded + superinstruction path
-// ("threaded") — over two workloads:
+// Interpreter dispatch throughput in the two dispatch modes —
+// decode-every-step (DispatchMode::kBaseline, reported as "fallback") and
+// the predecoded cached path ("cached") — over two workloads:
 //
 //   hot_loop — a tight loop exercising every inline cache the cached path
-//              adds (const-string, sget/sput, invoke-static, monomorphic
-//              invoke-virtual) plus a dispatch-heavy stretch of the three
-//              fusable pairs (cmp+branch, const+move, iget+invoke) the
-//              threaded tier compiles into superinstructions;
+//              adds (const-string, sget/sput, iget, invoke-static,
+//              monomorphic invoke-virtual) plus a dispatch-heavy unrolled
+//              stretch of cmp/if/const/move;
 //   self_mod — the same loop with a native patching a const literal every
 //              iteration through RtMethod::patch_code_unit, measuring
-//              per-iteration targeted invalidation (fused-span splitting
-//              included).
+//              per-iteration targeted invalidation.
 //
-// Each line prefixed BENCH_JSON is machine-readable; ci.sh collects them
-// into BENCH_interp.json and relies on the exit code: non-zero when any
-// workload's tier ladder regresses (ARCHITECTURE invariant 13 — every tier
-// must beat the one below it).
+// Each runner takes one untimed full-length warm-up pass, then `reps` timed
+// passes alternate between the modes. Every BENCH_JSON line reports the
+// median and interquartile range (IQR) over those passes plus the host's
+// core count and whether the binary was optimized; ci.sh collects the lines
+// into BENCH_interp.json. The exit code gates ARCHITECTURE invariant 11's
+// performance half: non-zero when the median per-pass cached/fallback ratio
+// drops below --min-speedup on either workload.
 //
 // Usage: interp_dispatch [--loops N] [--reps R] [--min-speedup X]
-//                        [--min-threaded-speedup Y] [--min-ladder Z]
-//   --min-speedup           hot_loop cached vs fallback gate
-//   --min-threaded-speedup  hot_loop threaded vs cached gate
-//   --min-ladder            self_mod gate for both adjacent-tier ratios
+//   --loops        loop iterations per pass, both workloads (default 300000)
+//   --reps         timed passes per mode (default and minimum 5)
+//   --min-speedup  cached vs fallback gate on both workloads (default 1.0)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,8 +49,7 @@ struct Workload {
   bool self_mod = false;
 };
 
-// Lbench/Hot; with a spin(n) loop touching every cached resolution kind and
-// all three superinstruction families.
+// Lbench/Hot; with a spin(n) loop touching every cached resolution kind.
 Workload build_hot_loop(bool self_mod) {
   dex::DexBuilder b;
   const std::string cls = "Lbench/Hot;";
@@ -93,16 +93,15 @@ Workload build_hot_loop(bool self_mod) {
     as.move_result(4);
     as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(vstep_m), {8, 4});
     as.move_result(4);
-    // Fusable stretch — a dispatch-heavy unrolled run of the cmp+branch and
-    // const+move superinstruction families (the threaded tier executes each
-    // pair as one dispatch), plus one iget+invoke pair per iteration.
+    // Dispatch-heavy unrolled stretch of cheap instructions, plus one
+    // instance-field read feeding a call per iteration.
     for (int u = 0; u < 64; ++u) {
-      as.binop(Op::kCmp, 6, 0, 9);       // cmp+branch head (i < n in body...)
-      as.if_testz(Op::kIfGez, 6, done);  // ...so this tail never takes
-      as.const16(7, 5);                  // const+move pair
+      as.binop(Op::kCmp, 6, 0, 9);       // i < n inside the body...
+      as.if_testz(Op::kIfGez, 6, done);  // ...so this branch never takes
+      as.const16(7, 5);
       as.move(6, 7);
     }
-    as.iget(7, 8, static_cast<uint16_t>(fld));  // iget+invoke pair
+    as.iget(7, 8, static_cast<uint16_t>(fld));
     as.invoke(Op::kInvokeStatic, static_cast<uint16_t>(step_m), {7});
     as.move_result(7);
     if (self_mod) as.invoke(Op::kInvokeVirtual, static_cast<uint16_t>(bump_m), {8});
@@ -128,8 +127,8 @@ struct Measurement {
   }
 };
 
-// One live runtime with the workload installed and warmed, ready to be
-// measured repeatedly. Keeping all modes' runners alive and alternating
+// One live runtime with the workload installed, ready to be measured
+// repeatedly. Keeping all modes' runners alive and alternating
 // measurements de-correlates machine noise from the mode (a noise burst
 // hits every side instead of whichever mode ran last).
 struct Runner {
@@ -198,97 +197,118 @@ Runner make_runner(const Workload& w, rt::DispatchMode mode) {
   r.self =
       runtime.heap().new_instance(cls, cls->descriptor, cls->instance_slot_count);
   r.spin = cls->find_declared("spin");
-
-  // Warm-up call so all modes measure steady state (caches built, classes
-  // initialized, field resolutions memoized so fused fast paths arm) rather
-  // than first-run setup.
-  runtime.interp().invoke(*r.spin, {rt::Value::Ref(r.self), rt::Value::Int(100)});
   return r;
 }
 
 const char* mode_name(rt::DispatchMode mode) {
-  switch (mode) {
-    case rt::DispatchMode::kCached:
-      return "cached";
-    case rt::DispatchMode::kThreaded:
-      return "threaded";
-    case rt::DispatchMode::kBaseline:
-      break;
-  }
-  return "fallback";
+  return mode == rt::DispatchMode::kCached ? "cached" : "fallback";
 }
 
-constexpr rt::DispatchMode kTierLadder[] = {rt::DispatchMode::kBaseline,
-                                            rt::DispatchMode::kCached,
-                                            rt::DispatchMode::kThreaded};
+constexpr rt::DispatchMode kModes[] = {rt::DispatchMode::kBaseline,
+                                       rt::DispatchMode::kCached};
 
-// Per-tier measurements for one workload, bottom of the ladder first.
-struct TierResults {
-  Measurement m[3];
-  double cached_vs_fallback() const {
-    return m[0].insns_per_sec() > 0.0
-               ? m[1].insns_per_sec() / m[0].insns_per_sec()
-               : 0.0;
-  }
-  double threaded_vs_cached() const {
-    return m[1].insns_per_sec() > 0.0
-               ? m[2].insns_per_sec() / m[1].insns_per_sec()
-               : 0.0;
-  }
+// Median and interquartile range of a sample set (linear interpolation
+// between order statistics).
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
 };
 
-// Best-of-`reps`, alternating the three runners each rep.
-TierResults measure_tiers(Runner* runners, int loops, int reps) {
-  TierResults best;
+Spread spread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&samples](double q) {
+    double pos = q * static_cast<double>(samples.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+// Host tag carried by every BENCH_JSON line.
+std::string host_fields() {
+#if defined(__OPTIMIZE__)
+  const char* optimized = "true";
+#else
+  const char* optimized = "false";
+#endif
+  return "\"host_cores\":" +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ",\"optimized\":" + optimized;
+}
+
+// Per-pass measurements of one workload, one series per mode (kModes
+// order); passes alternate the modes so a noise burst hits both.
+struct ModeSeries {
+  std::vector<Measurement> passes[2];
+};
+
+ModeSeries measure_modes(Runner* runners, int loops, int reps) {
+  // Untimed warm-up pass: builds caches, initializes classes and memoizes
+  // resolutions so the timed passes measure steady state.
+  for (int t = 0; t < 2; ++t) runners[t].measure(loops);
+  ModeSeries series;
   for (int i = 0; i < reps; ++i) {
-    for (int t = 0; t < 3; ++t) {
-      Measurement m = runners[t].measure(loops);
-      if (best.m[t].wall_ms == 0.0 ||
-          m.insns_per_sec() > best.m[t].insns_per_sec()) {
-        best.m[t] = m;
-      }
+    for (int t = 0; t < 2; ++t) {
+      series.passes[t].push_back(runners[t].measure(loops));
     }
   }
-  return best;
+  return series;
 }
 
-void report(const char* workload, rt::DispatchMode mode, int loops,
-            const Measurement& m) {
-  char rate[32];
-  std::snprintf(rate, sizeof(rate), "%.0f", m.insns_per_sec());
-  bench::print_row({workload, mode_name(mode), std::to_string(m.steps),
-                    std::to_string(m.wall_ms).substr(0, 6), rate},
-                   {12, 10, 12, 10, 14});
+void report(const char* workload, rt::DispatchMode mode, int loops, int reps,
+            const std::vector<Measurement>& passes) {
+  std::vector<double> walls, rates;
+  for (const Measurement& m : passes) {
+    walls.push_back(m.wall_ms);
+    rates.push_back(m.insns_per_sec());
+  }
+  Spread wall = spread(walls);
+  Spread rate = spread(rates);
+  char wall_cell[32], rate_cell[48];
+  std::snprintf(wall_cell, sizeof(wall_cell), "%.1f", wall.median);
+  std::snprintf(rate_cell, sizeof(rate_cell), "%.0f (IQR %.0f)", rate.median,
+                rate.iqr);
+  bench::print_row({workload, mode_name(mode),
+                    std::to_string(passes.front().steps), wall_cell,
+                    rate_cell},
+                   {12, 10, 12, 10, 24});
   std::printf(
       "BENCH_JSON {\"bench\":\"interp_dispatch\",\"workload\":\"%s\","
-      "\"mode\":\"%s\",\"loops\":%d,\"steps\":%llu,\"wall_ms\":%.3f,"
-      "\"insns_per_sec\":%.0f}\n",
-      workload, mode_name(mode), loops,
-      static_cast<unsigned long long>(m.steps), m.wall_ms, m.insns_per_sec());
+      "\"mode\":\"%s\",\"loops\":%d,\"reps\":%d,\"steps\":%llu,"
+      "\"wall_ms\":%.3f,\"wall_ms_iqr\":%.3f,\"insns_per_sec\":%.0f,"
+      "\"insns_per_sec_iqr\":%.0f,%s}\n",
+      workload, mode_name(mode), loops, reps,
+      static_cast<unsigned long long>(passes.front().steps), wall.median,
+      wall.iqr, rate.median, rate.iqr, host_fields().c_str());
 }
 
-// Workload summary line + ladder gate: cached must beat fallback by
-// min_cached, threaded must beat cached by min_threaded. Returns pass.
-bool summarize(const char* workload, const TierResults& r, double min_cached,
-               double min_threaded) {
-  double cf = r.cached_vs_fallback();
-  double tc = r.threaded_vs_cached();
-  bool pass = cf >= min_cached && tc >= min_threaded;
-  std::printf(
-      "\n%s speedups: cached vs fallback %.2fx (min %.2f), threaded vs "
-      "cached %.2fx (min %.2f)\n",
-      workload, cf, min_cached, tc, min_threaded);
+// Workload summary line + gate: the median over passes of the paired
+// cached/fallback throughput ratio must reach min_speedup. Returns pass.
+bool summarize(const char* workload, const ModeSeries& series,
+               double min_speedup) {
+  std::vector<double> ratios;
+  for (size_t i = 0; i < series.passes[0].size(); ++i) {
+    double fallback = series.passes[0][i].insns_per_sec();
+    double cached = series.passes[1][i].insns_per_sec();
+    ratios.push_back(fallback > 0.0 ? cached / fallback : 0.0);
+  }
+  Spread ratio = spread(ratios);
+  bool pass = ratio.median >= min_speedup;
+  std::printf("\n%s speedup: cached vs fallback %.2fx (IQR %.2f, min %.2f)\n",
+              workload, ratio.median, ratio.iqr, min_speedup);
   std::printf(
       "BENCH_JSON {\"bench\":\"interp_dispatch\",\"workload\":\"%s\","
-      "\"speedup_cached_vs_fallback\":%.3f,\"speedup_threaded_vs_cached\":"
-      "%.3f,\"min_required\":%.2f,\"min_threaded_required\":%.2f,"
-      "\"pass\":%s}\n",
-      workload, cf, tc, min_cached, min_threaded, pass ? "true" : "false");
+      "\"reps\":%zu,\"speedup_cached_vs_fallback\":%.3f,"
+      "\"speedup_iqr\":%.3f,\"min_required\":%.2f,\"pass\":%s,%s}\n",
+      workload, ratios.size(), ratio.median, ratio.iqr, min_speedup,
+      pass ? "true" : "false", host_fields().c_str());
   if (!pass) {
     std::fprintf(stderr,
-                 "FAIL: %s tier ladder regressed: cached %.2fx (>= %.2f), "
-                 "threaded %.2fx (>= %.2f)\n",
-                 workload, cf, min_cached, tc, min_threaded);
+                 "FAIL: %s cached dispatch regressed: %.2fx fallback "
+                 "(>= %.2f)\n",
+                 workload, ratio.median, min_speedup);
   }
   return pass;
 }
@@ -297,10 +317,8 @@ bool summarize(const char* workload, const TierResults& r, double min_cached,
 
 int main(int argc, char** argv) {
   int loops = 300000;
-  int reps = 3;
-  double min_speedup = 1.0;           // hot_loop: cached vs fallback
-  double min_threaded_speedup = 1.0;  // hot_loop: threaded vs cached
-  double min_ladder = 1.0;            // self_mod: both adjacent ratios
+  int reps = 5;
+  double min_speedup = 1.0;  // cached vs fallback, both workloads
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--loops") == 0 && i + 1 < argc) {
       loops = std::atoi(argv[++i]);
@@ -308,41 +326,35 @@ int main(int argc, char** argv) {
       reps = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
       min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-threaded-speedup") == 0 &&
-               i + 1 < argc) {
-      min_threaded_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-ladder") == 0 && i + 1 < argc) {
-      min_ladder = std::atof(argv[++i]);
     }
   }
   if (loops < 1) loops = 1;
-  if (reps < 1) reps = 1;
+  if (reps < 5) reps = 5;  // fewer passes cannot give a meaningful IQR
 
-  bench::print_header(
-      "Interpreter dispatch (fallback vs cached vs threaded)");
+  bench::print_header("Interpreter dispatch (fallback vs cached)");
   bench::print_row({"Workload", "Mode", "Steps", "Wall ms", "Insns/sec"},
-                   {12, 10, 12, 10, 14});
+                   {12, 10, 12, 10, 24});
 
-  Workload hot = build_hot_loop(false);
-  Runner hot_runners[3];
-  for (int t = 0; t < 3; ++t) hot_runners[t] = make_runner(hot, kTierLadder[t]);
-  TierResults hot_r = measure_tiers(hot_runners, loops, reps);
-  for (int t = 0; t < 3; ++t) {
-    report("hot_loop", kTierLadder[t], loops, hot_r.m[t]);
+  // Both workloads run the same loop count: per-iteration patching makes a
+  // self_mod pass slower than a hot_loop pass, never shorter.
+  struct {
+    const char* name;
+    bool self_mod;
+  } const kWorkloads[] = {{"hot_loop", false}, {"self_mod", true}};
+  ModeSeries results[2];
+  for (int w = 0; w < 2; ++w) {
+    Workload workload = build_hot_loop(kWorkloads[w].self_mod);
+    Runner runners[2];
+    for (int t = 0; t < 2; ++t) runners[t] = make_runner(workload, kModes[t]);
+    results[w] = measure_modes(runners, loops, reps);
+    for (int t = 0; t < 2; ++t) {
+      report(kWorkloads[w].name, kModes[t], loops, reps, results[w].passes[t]);
+    }
   }
 
-  // Self-modifying variant: announced per-iteration patches, including the
-  // fused-span split every patch forces in the threaded tier.
-  int sm_loops = loops / 10 > 0 ? loops / 10 : 1;
-  Workload sm = build_hot_loop(true);
-  Runner sm_runners[3];
-  for (int t = 0; t < 3; ++t) sm_runners[t] = make_runner(sm, kTierLadder[t]);
-  TierResults sm_r = measure_tiers(sm_runners, sm_loops, reps);
-  for (int t = 0; t < 3; ++t) {
-    report("self_mod", kTierLadder[t], sm_loops, sm_r.m[t]);
+  bool ok = true;
+  for (int w = 0; w < 2; ++w) {
+    ok = summarize(kWorkloads[w].name, results[w], min_speedup) && ok;
   }
-
-  bool ok = summarize("hot_loop", hot_r, min_speedup, min_threaded_speedup);
-  ok = summarize("self_mod", sm_r, min_ladder, min_ladder) && ok;
   return ok ? 0 : 1;
 }

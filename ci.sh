@@ -9,6 +9,8 @@ cd "$(dirname "$0")"
 
 BUILD_DIR="${BUILD_DIR:-build-ci}"
 JOBS="${JOBS:-$(nproc)}"
+# Gates this host cannot arm, named in the final summary line.
+skipped_gates=()
 
 # --- docs gate -------------------------------------------------------------
 # 1. Every public header must open with a file doc comment.
@@ -71,7 +73,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
   clang-tidy -p "$BUILD_DIR" --quiet src/ir/*.cpp src/analysis/*.cpp
   echo "clang-tidy gate passed"
 else
-  echo "clang-tidy unavailable; skipping tidy gate"
+  skipped_gates+=("clang-tidy gate (clang-tidy not installed)")
 fi
 
 # --- pipeline smoke --------------------------------------------------------
@@ -108,16 +110,14 @@ rm -rf "$service_store"
 echo "service smoke passed"
 
 # --- interpreter dispatch bench smoke --------------------------------------
-# Runs the three-tier dispatch bench (fallback vs cached vs threaded) and a
-# single-repeat pipeline throughput run, collecting their BENCH_JSON lines
-# into BENCH_interp.json (one JSON object per line — the perf trajectory
-# file). The tier ladder is a merge gate (docs/ARCHITECTURE.md invariant 13):
-# interp_dispatch exits non-zero when cached is slower than fallback, when
-# threaded is below 1.5x cached on hot_loop, or when either ratio regresses
-# below 1.0 on self_mod.
+# Runs the dispatch bench (fallback vs cached: warm-up, 5 timed passes per
+# mode, median and IQR in every line), collecting its BENCH_JSON lines into
+# BENCH_interp.json (one JSON object per line — the perf trajectory file).
+# The cached mode must keep paying for itself (docs/ARCHITECTURE.md
+# invariant 11): interp_dispatch exits non-zero when the median cached vs
+# fallback ratio drops below 1.0 on hot_loop or on self_mod.
 bench_out="$(mktemp)"
-"$BUILD_DIR"/bench/interp_dispatch --loops 100000 \
-  --min-speedup 1.0 --min-threaded-speedup 1.5 --min-ladder 1.0 \
+"$BUILD_DIR"/bench/interp_dispatch --loops 100000 --min-speedup 1.0 \
   | tee "$bench_out"
 grep '^BENCH_JSON ' "$bench_out" | sed 's/^BENCH_JSON //' > BENCH_interp.json
 rm -f "$bench_out"
@@ -126,15 +126,16 @@ rm -f "$bench_out"
 mode_lines=0
 while IFS= read -r line; do
   mode_lines=$((mode_lines + 1))
-  for key in bench workload mode loops steps wall_ms insns_per_sec; do
+  for key in bench workload mode loops reps steps wall_ms wall_ms_iqr \
+             insns_per_sec insns_per_sec_iqr host_cores; do
     if ! grep -q "\"$key\":" <<<"$line"; then
       echo "bench smoke: BENCH_JSON line missing key '$key': $line" >&2
       exit 1
     fi
   done
 done < <(grep '"mode":' BENCH_interp.json)
-if [ "$mode_lines" -ne 6 ]; then  # 2 workloads x 3 dispatch tiers
-  echo "bench smoke: expected 6 per-mode BENCH_JSON lines, got $mode_lines" >&2
+if [ "$mode_lines" -ne 4 ]; then  # 2 workloads x 2 dispatch modes
+  echo "bench smoke: expected 4 per-mode BENCH_JSON lines, got $mode_lines" >&2
   exit 1
 fi
 echo "bench smoke passed ($(wc -l < BENCH_interp.json) BENCH_JSON lines)"
@@ -194,8 +195,7 @@ scaling_args=(--corpus large --count 10000 --threads 1,2,4,8 --shards 64)
 if [ "$hw_threads" -ge 4 ]; then
   scaling_args+=(--gate-threads 4 --min-speedup 2.0)
 else
-  echo "pipeline scaling: $hw_threads hardware thread(s) < 4;" \
-       "speedup gate is reporting-only"
+  skipped_gates+=("pipeline scaling speedup gate ($hw_threads core(s) < 4)")
 fi
 baseline_file="bench/pipeline_baseline.json"
 if [ -z "${DEXLEGO_UPDATE_BASELINE:-}" ] && [ -f "$baseline_file" ]; then
@@ -281,13 +281,12 @@ echo "service bench passed ($service_lines phases)"
 # scheduler + DedupStore races; force_engine_test: the frontier logic the
 # scheduler drives; fuzz_test: the campaign worker pool sharing resolved
 # seeds; interp_cache_test's threaded cases: per-runtime predecode caches
-# under the campaign pool; dispatch_tier_test's threaded cases: concurrent
-# fused execution with self-modification and cache invalidation;
-# service_test: the persistent store's log appends under concurrent intern
-# plus the extraction service's worker pool, quotas and cancellation) under
-# TSan and runs them. interp_cache_test and dispatch_tier_test are filtered to
-# their thread-bearing cases — the full parity sweeps are single-threaded
-# and already run in the normal pass. Skipped where TSan can't compile,
+# under the campaign pool and concurrent self-modification with cache
+# invalidation; service_test: the persistent store's log appends under
+# concurrent intern plus the extraction service's worker pool, quotas and
+# cancellation) under TSan and runs them. interp_cache_test is filtered to
+# its thread-bearing cases — the full parity sweeps are single-threaded and
+# already run in the normal pass. Skipped where TSan can't compile,
 # link or execute (older toolchains, restricted sandboxes).
 TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
 tsan_probe="$(mktemp -d)"
@@ -303,13 +302,12 @@ if c++ -fsanitize=thread -o "$tsan_probe/probe" "$tsan_probe/probe.cpp" \
     -DDEXLEGO_BUILD_BENCHES=OFF -DDEXLEGO_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target pipeline_test force_engine_test fuzz_test interp_cache_test \
-             dispatch_tier_test real_dex_test service_test ir_test
+             real_dex_test service_test ir_test
   "$TSAN_DIR"/tests/pipeline_test
   "$TSAN_DIR"/tests/force_engine_test
   "$TSAN_DIR"/tests/fuzz_test
   "$TSAN_DIR"/tests/service_test
   "$TSAN_DIR"/tests/interp_cache_test --gtest_filter='InterpCacheThreads.*'
-  "$TSAN_DIR"/tests/dispatch_tier_test --gtest_filter='DispatchTierThreads.*'
   # Concurrent lift/lower over shared immutable DexFiles (the SSA IR's
   # thread-safety contract: lifting never mutates the source file).
   "$TSAN_DIR"/tests/ir_test --gtest_filter='IrThreads.*'
@@ -317,6 +315,16 @@ if c++ -fsanitize=thread -o "$tsan_probe/probe" "$tsan_probe/probe.cpp" \
   # guards the real-DEX load path against racy lazy state.
   "$TSAN_DIR"/tests/real_dex_test --gtest_filter='RealDexContainerEquivalence.*'
 else
-  echo "ThreadSanitizer unavailable; skipping TSan pass"
+  skipped_gates+=("TSan pass (probe failed to compile, link or run)")
 fi
 rm -rf "$tsan_probe"
+
+# --- summary ---------------------------------------------------------------
+# One line naming every gate this host could not arm, so a skipped gate is
+# never mistaken for a passed one.
+if [ "${#skipped_gates[@]}" -eq 0 ]; then
+  echo "ci.sh: all gates ran and passed; none skipped on this host"
+else
+  summary="$(printf '%s; ' "${skipped_gates[@]}")"
+  echo "ci.sh: all armed gates passed; skipped on this host: ${summary%; }"
+fi

@@ -3,7 +3,6 @@
 #include <span>
 
 #include "src/bytecode/insn.h"
-#include "src/runtime/interp_ops.h"
 #include "src/runtime/runtime.h"
 #include "src/support/bytes.h"
 #include "src/support/log.h"
@@ -12,13 +11,47 @@ namespace dexlego::rt {
 
 using bc::Insn;
 using bc::Op;
-using iops::effective_taint;
-using iops::eval_if;
-using iops::eval_ifz;
 
 namespace {
 
 constexpr int kMaxCallDepth = 200;
+
+uint32_t effective_taint(const Value& v) {
+  return v.taint | (v.ref != nullptr ? v.ref->taint : 0u);
+}
+
+bool eval_if(Op op, const Value& a, const Value& b) {
+  // eq/ne compare references when both operands are refs; all other
+  // comparisons use the integer test view.
+  if ((op == Op::kIfEq || op == Op::kIfNe) && a.is_ref() && b.is_ref()) {
+    // String comparisons in samples use equals(); == on refs is identity.
+    bool eq = a.ref == b.ref;
+    return op == Op::kIfEq ? eq : !eq;
+  }
+  int64_t x = a.test_value(), y = b.test_value();
+  switch (op) {
+    case Op::kIfEq: return x == y;
+    case Op::kIfNe: return x != y;
+    case Op::kIfLt: return x < y;
+    case Op::kIfGe: return x >= y;
+    case Op::kIfGt: return x > y;
+    case Op::kIfLe: return x <= y;
+    default: return false;
+  }
+}
+
+bool eval_ifz(Op op, const Value& a) {
+  int64_t x = a.test_value();
+  switch (op) {
+    case Op::kIfEqz: return x == 0;
+    case Op::kIfNez: return x != 0;
+    case Op::kIfLtz: return x < 0;
+    case Op::kIfGez: return x >= 0;
+    case Op::kIfGtz: return x > 0;
+    case Op::kIfLez: return x <= 0;
+    default: return false;
+  }
+}
 
 }  // namespace
 
@@ -98,12 +131,6 @@ Interpreter::CallResult Interpreter::call(RtMethod& method, std::vector<Value> a
 
 Interpreter::CallResult Interpreter::run_bytecode(RtMethod& method,
                                                   std::vector<Value>& args) {
-  // The direct-threaded tier lives in its own translation unit
-  // (src/runtime/interp_threaded.cpp); this loop stays the kCached/kBaseline
-  // reference the faster tier is differentially tested against.
-  if (rt_.config().dispatch == DispatchMode::kThreaded) {
-    return run_threaded(method, args);
-  }
   CallResult out;
   const uint16_t registers = method.code->registers_size;
   const uint16_t ins = method.code->ins_size;

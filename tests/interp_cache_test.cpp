@@ -1,15 +1,18 @@
-// Differential suite for the interpreter's dispatch modes plus this PR's
-// satellite regressions. The predecoded cached path
-// (rt::DispatchMode::kCached) must be observationally identical to the
-// decode-every-step fallback (kBaseline): byte-identical traces and
-// revealed files over the full DroidBench-analog set (including the four
-// self-modifying samples) and identical fuzz-campaign reports over seeds
-// 1-10. The self-modification guard tests pin the three invalidation
+// Differential suite for the interpreter's two dispatch modes (ARCHITECTURE
+// invariant 11). The predecoded cached path (rt::DispatchMode::kCached)
+// must be observationally identical to the decode-every-step fallback
+// (kBaseline): byte-identical traces and revealed files over the full
+// DroidBench-analog set (including the four self-modifying samples) and
+// the hostile fuzz-mutant family, and identical fuzz-campaign reports over
+// seeds 1-10. The self-modification guard tests pin the three invalidation
 // layers of src/runtime/predecode.h — including un-announced direct writes
-// to code->insns, which only the per-slot source-unit guard catches.
+// to code->insns, which only the per-slot source-unit guard catches — and
+// the remaining cases pin resolution and interning regressions in both
+// modes. InterpCacheThreads.* runs under TSan in ci.sh.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/benchsuite/droidbench.h"
@@ -17,6 +20,7 @@
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/fuzz/triage.h"
+#include "src/pipeline/scenarios.h"
 #include "tests/harness/diff_fixture.h"
 
 namespace dexlego {
@@ -96,6 +100,25 @@ INSTANTIATE_TEST_SUITE_P(DroidBench, DispatchParityEverySample,
                          ::testing::ValuesIn(all_sample_names()),
                          [](const auto& info) { return info.param; });
 
+// --- hostile-app scenario family -------------------------------------------
+
+// The fuzzer-mutant population (guard stacking, reflection mazes,
+// self-modifying writes, nested packing, bytecode mutants) traced in both
+// modes.
+TEST(InterpCacheHostile, FuzzFamilyTracesIdenticalAcrossModes) {
+  std::vector<pipeline::BatchJob> jobs = pipeline::fuzz_jobs(12);
+  ASSERT_FALSE(jobs.empty());
+  for (const pipeline::BatchJob& job : jobs) {
+    harness::ExecutionTrace baseline =
+        harness::run_and_trace(job.apk, job.configure_runtime,
+                               mode_config(rt::DispatchMode::kBaseline));
+    harness::ExecutionTrace cached =
+        harness::run_and_trace(job.apk, job.configure_runtime,
+                               mode_config(rt::DispatchMode::kCached));
+    EXPECT_TRUE(harness::TraceEquivalent(baseline, cached)) << job.name;
+  }
+}
+
 // --- self-modification guards ----------------------------------------------
 
 // A loop whose native rewrites a const literal between iterations. `announce`
@@ -150,6 +173,25 @@ harness::ConfigureFn self_mod_native(size_t patch_pc, bool announce) {
           } else {
             oc->code->insns[patch_pc + 1] = next;  // hostile: no announcement
           }
+          return rt::Value::Null();
+        });
+  };
+}
+
+// Like self_mod_native's hostile direct write, but the native then drops
+// the whole cache mid-loop (the structural-edit escape hatch), so the next
+// step of the live frame rebuilds.
+harness::ConfigureFn invalidating_native(size_t patch_pc) {
+  return [patch_pc](rt::Runtime& runtime) {
+    runtime.register_native(
+        "Lcache/Main;->mutate",
+        [patch_pc](rt::NativeContext& ctx, std::span<rt::Value>) {
+          rt::RtMethod* oc = ctx.runtime.linker()
+                                 .resolve("Lcache/Main;")
+                                 ->find_declared("onCreate");
+          oc->code->insns[patch_pc + 1] =
+              static_cast<uint16_t>(oc->code->insns[patch_pc + 1] + 11);
+          oc->invalidate_code_cache();
           return rt::Value::Null();
         });
   };
@@ -563,6 +605,48 @@ TEST(InterpCacheThreads, ThreadedCampaignParityAcrossModes) {
   fuzz::CampaignReport baseline =
       seed_campaign(1, 12, 4, rt::DispatchMode::kBaseline);
   EXPECT_EQ(cached.report_fingerprint(), baseline.report_fingerprint());
+}
+
+// Four runtimes on four threads run the self-modifying loop at once: even
+// workers patch through patch_code_unit, odd workers write directly and
+// then call invalidate_code_cache mid-loop. Runtimes are thread-private by
+// design; what TSan checks here is that no cached-mode state (predecoded
+// slots, inline caches, resolution memos, interned literals) is shared
+// across them by accident. Every worker must log what its kBaseline
+// reference logs.
+TEST(InterpCacheThreads, ConcurrentSelfModPatchAndInvalidation) {
+  size_t patch_pc = 0;
+  dex::Apk apk = self_mod_app(&patch_pc);
+  const harness::ConfigureFn natives[2] = {self_mod_native(patch_pc, true),
+                                           invalidating_native(patch_pc)};
+  std::vector<std::string> expected[2];
+  for (int flavour = 0; flavour < 2; ++flavour) {
+    expected[flavour] = observed_literals(harness::run_and_trace(
+        apk, natives[flavour], mode_config(rt::DispatchMode::kBaseline)));
+    ASSERT_EQ(expected[flavour],
+              (std::vector<std::string>{"100", "111", "122", "133"}))
+        << "flavour " << flavour;
+  }
+
+  constexpr int kWorkers = 4;
+  std::vector<std::vector<std::string>> logged(kWorkers);
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      rt::Runtime runtime(mode_config(rt::DispatchMode::kCached));
+      natives[w % 2](runtime);
+      runtime.install(apk);
+      ASSERT_TRUE(runtime.launch().completed);
+      for (const rt::Runtime::SinkEvent& ev : runtime.sink_events()) {
+        logged[static_cast<size_t>(w)].push_back(ev.detail);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(logged[static_cast<size_t>(w)], expected[w % 2]) << "worker " << w;
+  }
 }
 
 }  // namespace

@@ -12,16 +12,13 @@
 #include <variant>
 #include <vector>
 
-#include "src/bytecode/assembler.h"
 #include "src/bytecode/insn.h"
 #include "src/bytecode/verify_code.h"
-#include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/dex/real/leb128.h"
 #include "src/dex/verify.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/mutator.h"
-#include "src/runtime/runtime.h"
 #include "src/support/bytes.h"
 #include "src/support/hash.h"
 #include "src/support/rng.h"
@@ -472,260 +469,6 @@ TEST(MutatorVerifierContract, BehavioralMutantsAreAlwaysWellFormed) {
       EXPECT_TRUE(dex::verify_structure(file).ok()) << key << "#" << rng_seed;
     }
   }
-}
-
-// --- superinstruction fusion properties (src/runtime/predecode.h) ----------
-// Two properties the direct-threaded tier's fusion pass must satisfy on
-// quantified inputs, not just the pinned samples in dispatch_tier_test:
-// fusing is semantics-preserving on randomized verifier-clean methods, and
-// every fused pair round-trips through patch_code_unit back to plain slots
-// without any behavioral residue.
-
-// Randomized verifier-clean activity: onCreate runs a short loop whose body
-// is a seeded random mix of blocks drawn from every fusion family (cmp+
-// branch, const+move, iget+invoke) plus non-fusable arithmetic filler, all
-// folding into an accumulator that is logged at the end — so a single wrong
-// register anywhere lands in the sink trace. The generator only emits
-// in-bounds registers and bound labels, so every draw is verifier-clean by
-// construction (asserted below anyway).
-dex::Apk random_fusion_app(uint64_t seed) {
-  dex::DexBuilder b;
-  const std::string cls = "Lprop/Fuse" + std::to_string(seed) + ";";
-  uint32_t log_i =
-      b.intern_method("Landroid/util/Log;", "i", "V", {"Ljava/lang/String;"});
-  uint32_t tostr = b.intern_method("Ljava/lang/Integer;", "toString",
-                                   "Ljava/lang/String;", {"I"});
-  b.start_class(cls, "Landroid/app/Activity;");
-  uint32_t fld = b.intern_field(cls, "I", "f");
-  b.add_instance_field("f", "I");
-
-  Rng rng(seed);
-  bc::MethodAssembler as(8, 1);  // this = v7, scratch v0..v6, acc = v4
-  for (uint8_t r = 0; r <= 6; ++r) {
-    as.const16(r, static_cast<int16_t>(rng.range(-50, 50)));
-  }
-  as.iput(0, 7, static_cast<uint16_t>(fld));
-  as.const16(5, 0);  // loop counter
-  as.const16(6, 3);  // iterations: fused slots are re-served, not just built
-  auto loop = as.make_label();
-  auto done = as.make_label();
-  as.bind(loop);
-  as.if_test(bc::Op::kIfGe, 5, 6, done);
-  const bc::Op kIfz[] = {bc::Op::kIfEqz, bc::Op::kIfNez, bc::Op::kIfLtz,
-                         bc::Op::kIfGez, bc::Op::kIfGtz, bc::Op::kIfLez};
-  const bc::Op kFiller[] = {bc::Op::kAdd, bc::Op::kSub, bc::Op::kMul,
-                            bc::Op::kXor, bc::Op::kAnd, bc::Op::kOr};
-  for (int block = 0; block < 24; ++block) {
-    // The first three draws are one block per fusion family, so every seed
-    // exercises all of them; the rest are random.
-    uint64_t kind = block < 3 ? static_cast<uint64_t>(block) : rng.below(4);
-    uint8_t a = static_cast<uint8_t>(rng.below(4));      // v0..v3
-    uint8_t c = static_cast<uint8_t>(rng.below(4));
-    switch (kind) {
-      case 0: {  // cmp + conditional branch (FuseKind::kCmpBranch)
-        auto skip = as.make_label();
-        as.binop(bc::Op::kCmp, 3, a, c);
-        as.if_testz(kIfz[rng.below(6)], 3, skip);
-        as.const16(static_cast<uint8_t>(rng.below(3)),
-                   static_cast<int16_t>(rng.range(-99, 99)));
-        as.bind(skip);
-        break;
-      }
-      case 1:  // const + move (FuseKind::kConstMove)
-        as.const16(a, static_cast<int16_t>(rng.range(-999, 999)));
-        as.move(c, a);
-        break;
-      case 2:  // iget + invoke (FuseKind::kIgetInvoke)
-        as.iget(0, 7, static_cast<uint16_t>(fld));
-        as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(tostr), {0});
-        as.move_result(0);
-        as.iput(a, 7, static_cast<uint16_t>(fld));
-        break;
-      default:  // non-fusable filler
-        as.binop(kFiller[rng.below(6)], a, c,
-                 static_cast<uint8_t>(rng.below(4)));
-        break;
-    }
-    as.binop(block % 2 == 0 ? bc::Op::kAdd : bc::Op::kXor, 4, 4, a);
-  }
-  as.add_lit8(5, 5, 1);
-  as.goto_(loop);
-  as.bind(done);
-  as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(tostr), {4});
-  as.move_result(0);
-  as.invoke(bc::Op::kInvokeStatic, static_cast<uint16_t>(log_i), {0});
-  as.return_void();
-  b.add_virtual_method("onCreate", "V", {}, as.finish());
-
-  dex::DexFile file = std::move(b).build();
-  dex::Apk apk;
-  dex::Manifest manifest;
-  manifest.package = "prop";
-  manifest.entry_class = cls;
-  apk.set_manifest(manifest);
-  apk.set_classes(dex::write_dex(file));
-  return apk;
-}
-
-std::string render_outcome(const rt::ExecOutcome& out) {
-  if (out.completed) return "completed";
-  if (out.uncaught) return "uncaught " + out.exception_type;
-  if (out.aborted) return "aborted (" + out.abort_reason + ")";
-  return "no outcome";
-}
-
-struct AppTrace {
-  std::vector<std::string> phases;  // "event: exit state"
-  std::vector<std::string> sinks;   // "sink|taint|detail"
-  uint64_t steps = 0;               // executed instructions, all phases
-  uint64_t fusions = 0;             // fused pairs formed across all methods
-};
-
-// Fused-pair totals across every method the runtime has predecoded.
-uint64_t total_fusions(rt::Runtime& runtime) {
-  uint64_t fusions = 0;
-  for (rt::RtClass* cls : runtime.linker().loaded_classes()) {
-    for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (m->predecoded) fusions += m->predecoded->stats().fusions;
-    }
-  }
-  return fusions;
-}
-
-// The triage oracle's event script (launch, every clickable, teardown) run
-// under one dispatch configuration, reduced to its observable state.
-AppTrace trace_app(const dex::Apk& apk,
-                   const std::function<void(rt::Runtime&)>& configure,
-                   rt::RuntimeConfig cfg) {
-  rt::Runtime runtime(cfg);
-  if (configure) configure(runtime);
-  runtime.install(apk);
-  AppTrace trace;
-  trace.phases.push_back("launch: " + render_outcome(runtime.launch()));
-  for (int id : runtime.ui_clickable_ids()) {
-    trace.phases.push_back("click:" + std::to_string(id) + ": " +
-                           render_outcome(runtime.fire_click(id)));
-  }
-  trace.phases.push_back(
-      "onPause: " + render_outcome(runtime.call_activity_method("onPause")));
-  trace.phases.push_back(
-      "onDestroy: " +
-      render_outcome(runtime.call_activity_method("onDestroy")));
-  for (const rt::Runtime::SinkEvent& ev : runtime.sink_events()) {
-    trace.sinks.push_back(ev.sink + "|" + std::to_string(ev.taint) + "|" +
-                          ev.detail);
-  }
-  trace.steps = runtime.interp().steps();
-  trace.fusions = total_fusions(runtime);
-  return trace;
-}
-
-void expect_same_trace(const AppTrace& a, const AppTrace& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.phases, b.phases) << label;
-  EXPECT_EQ(a.sinks, b.sinks) << label;
-  EXPECT_EQ(a.steps, b.steps) << label;
-}
-
-class FusionSemanticsProperty : public ::testing::TestWithParam<uint64_t> {};
-
-// Fusion is semantics-preserving: a randomized verifier-clean app traces
-// identically under the fused threaded tier, the unfused threaded tier, and
-// the decode-every-step baseline.
-TEST_P(FusionSemanticsProperty, FusedTracesMatchUnfusedAndBaseline) {
-  const uint64_t seed = GetParam();
-  dex::Apk apk = random_fusion_app(seed);
-  ASSERT_TRUE(bc::verify_dex(dex::read_dex(apk.classes())).ok());
-
-  rt::RuntimeConfig fused;
-  fused.dispatch = rt::DispatchMode::kThreaded;
-  rt::RuntimeConfig unfused = fused;
-  unfused.fuse_superinstructions = false;
-  rt::RuntimeConfig baseline;
-  baseline.dispatch = rt::DispatchMode::kBaseline;
-
-  AppTrace fused_trace = trace_app(apk, nullptr, fused);
-  AppTrace unfused_trace = trace_app(apk, nullptr, unfused);
-  AppTrace baseline_trace = trace_app(apk, nullptr, baseline);
-
-  // Non-vacuous: the fused run actually formed superinstructions, and the
-  // unfused control actually suppressed them.
-  EXPECT_GT(fused_trace.fusions, 0u) << "seed " << seed;
-  EXPECT_EQ(unfused_trace.fusions, 0u) << "seed " << seed;
-  expect_same_trace(fused_trace, unfused_trace, "fused vs unfused");
-  expect_same_trace(fused_trace, baseline_trace, "fused vs baseline");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FusionSemanticsProperty,
-                         ::testing::Range<uint64_t>(1, 9));
-
-// Every fused pair round-trips through patch_code_unit back to unfused
-// slots: an identity patch (writing back the unit's current value) is a
-// behavioral no-op, but must split the fused head exactly like a real
-// self-modification. The subject runtime takes identity patches on every
-// fused head after launch; a never-patched control runtime advances through
-// the same event script in lockstep, and the two must stay observationally
-// identical for the rest of the app's life.
-TEST(FusionPatchRoundTrip, IdentityPatchSplitsEveryFusedPair) {
-  dex::Apk apk = random_fusion_app(31);
-  rt::RuntimeConfig cfg;
-  cfg.dispatch = rt::DispatchMode::kThreaded;
-
-  rt::Runtime control(cfg);
-  rt::Runtime subject(cfg);
-  control.install(apk);
-  subject.install(apk);
-  EXPECT_EQ(render_outcome(control.launch()), render_outcome(subject.launch()));
-
-  // Split every fused pair in the subject with identity writes.
-  size_t split = 0;
-  for (rt::RtClass* cls : subject.linker().loaded_classes()) {
-    for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (!m->predecoded || !m->code) continue;
-      uint64_t splits_before = m->predecoded->stats().fusion_splits;
-      std::vector<rt::PredecodedCode::FusedSpan> spans =
-          m->predecoded->fused_spans();
-      for (const rt::PredecodedCode::FusedSpan& span : spans) {
-        ASSERT_TRUE(m->predecoded->is_fused(span.pc)) << m->full_name();
-        m->patch_code_unit(span.pc, m->code->insns[span.pc]);
-        EXPECT_FALSE(m->predecoded->is_fused(span.pc))
-            << m->full_name() << " @" << span.pc;
-      }
-      if (!spans.empty()) {
-        // patch_unit records one split per fused head it cleared.
-        EXPECT_GE(m->predecoded->stats().fusion_splits - splits_before,
-                  spans.size())
-            << m->full_name();
-        split += spans.size();
-      }
-    }
-  }
-  EXPECT_GT(split, 0u);  // the property actually exercised fused pairs
-
-  // Re-run the entry method in lockstep: the split subject must shadow the
-  // still-fused control exactly (identity patches change no semantics, and
-  // split slots re-arm as plain threaded slots, never stale fused ones).
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(render_outcome(control.call_activity_method("onCreate")),
-              render_outcome(subject.call_activity_method("onCreate")))
-        << "round " << round;
-  }
-  // Splits are durable: re-fusion only happens at a full rebuild, which an
-  // announced identity patch never forces.
-  for (rt::RtClass* cls : subject.linker().loaded_classes()) {
-    for (const std::unique_ptr<rt::RtMethod>& m : cls->methods) {
-      if (m->predecoded) EXPECT_TRUE(m->predecoded->fused_spans().empty());
-    }
-  }
-  ASSERT_EQ(control.sink_events().size(), subject.sink_events().size());
-  for (size_t i = 0; i < control.sink_events().size(); ++i) {
-    const rt::Runtime::SinkEvent& a = control.sink_events()[i];
-    const rt::Runtime::SinkEvent& b = subject.sink_events()[i];
-    EXPECT_EQ(a.sink, b.sink) << i;
-    EXPECT_EQ(a.taint, b.taint) << i;
-    EXPECT_EQ(a.detail, b.detail) << i;
-  }
-  EXPECT_EQ(control.interp().steps(), subject.interp().steps());
 }
 
 }  // namespace
