@@ -5,6 +5,7 @@
 // bench numbers and pipeline numbers come off the same clock).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,6 +31,25 @@ inline void print_row(const std::vector<std::string>& cells,
     std::printf("%-*s", w, cells[i].c_str());
   }
   std::printf("\n");
+}
+
+// Median and interquartile range of a non-empty sample set (linear
+// interpolation between order statistics).
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+inline Spread spread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&samples](double q) {
+    double pos = q * static_cast<double>(samples.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
 }
 
 inline std::string pct(double v) {

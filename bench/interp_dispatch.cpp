@@ -22,7 +22,6 @@
 //   --loops        loop iterations per pass, both workloads (default 300000)
 //   --reps         timed passes per mode (default and minimum 5)
 //   --min-speedup  cached vs fallback gate on both workloads (default 1.0)
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -207,25 +206,6 @@ const char* mode_name(rt::DispatchMode mode) {
 constexpr rt::DispatchMode kModes[] = {rt::DispatchMode::kBaseline,
                                        rt::DispatchMode::kCached};
 
-// Median and interquartile range of a sample set (linear interpolation
-// between order statistics).
-struct Spread {
-  double median = 0.0;
-  double iqr = 0.0;
-};
-
-Spread spread(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  auto quantile = [&samples](double q) {
-    double pos = q * static_cast<double>(samples.size() - 1);
-    size_t lo = static_cast<size_t>(pos);
-    size_t hi = std::min(lo + 1, samples.size() - 1);
-    return samples[lo] + (pos - static_cast<double>(lo)) *
-                             (samples[hi] - samples[lo]);
-  };
-  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
-}
-
 // Host tag carried by every BENCH_JSON line.
 std::string host_fields() {
 #if defined(__OPTIMIZE__)
@@ -264,8 +244,8 @@ void report(const char* workload, rt::DispatchMode mode, int loops, int reps,
     walls.push_back(m.wall_ms);
     rates.push_back(m.insns_per_sec());
   }
-  Spread wall = spread(walls);
-  Spread rate = spread(rates);
+  bench::Spread wall = bench::spread(walls);
+  bench::Spread rate = bench::spread(rates);
   char wall_cell[32], rate_cell[48];
   std::snprintf(wall_cell, sizeof(wall_cell), "%.1f", wall.median);
   std::snprintf(rate_cell, sizeof(rate_cell), "%.0f (IQR %.0f)", rate.median,
@@ -294,7 +274,7 @@ bool summarize(const char* workload, const ModeSeries& series,
     double cached = series.passes[1][i].insns_per_sec();
     ratios.push_back(fallback > 0.0 ? cached / fallback : 0.0);
   }
-  Spread ratio = spread(ratios);
+  bench::Spread ratio = bench::spread(ratios);
   bool pass = ratio.median >= min_speedup;
   std::printf("\n%s speedup: cached vs fallback %.2fx (IQR %.2f, min %.2f)\n",
               workload, ratio.median, ratio.iqr, min_speedup);

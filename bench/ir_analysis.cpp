@@ -1,6 +1,6 @@
-// IR subsystem throughput: SSA lift rate over the DroidBench corpus, taint
-// wall time of the bytecode engine vs the SSA engine across all three tool
-// presets, and what the DCE pass removes from the same corpus.
+// IR subsystem throughput: SSA lift rate over the DroidBench corpus and
+// taint wall time of the bytecode engine vs the SSA engine across all three
+// tool presets.
 //
 //   ir_analysis [--repeat N] [--baseline-methods-per-sec R]
 //               [--max-regression F]
@@ -20,7 +20,6 @@
 #include "src/benchsuite/droidbench.h"
 #include "src/dex/io.h"
 #include "src/ir/lift.h"
-#include "src/ir/roundtrip.h"
 
 namespace {
 
@@ -125,17 +124,6 @@ int main(int argc, char** argv) {
   auto [bytecode_ms, bytecode_flows] = taint_wall(analysis::TaintEngine::kBytecode);
   auto [ssa_ms, ssa_flows] = taint_wall(analysis::TaintEngine::kSsa);
 
-  // --- DCE over the corpus -------------------------------------------------
-  size_t dce_methods_changed = 0;
-  size_t dce_bytes_removed = 0;
-  for (const suite::Sample& sample : corpus.samples) {
-    dex::DexFile file = dex::read_dex(sample.apk.classes());
-    ir::RoundtripStats stats = ir::roundtrip_file(
-        file, ir::RoundtripOptions{.apply_dce = true, .check_ssa = false});
-    dce_methods_changed += stats.dce_methods_changed;
-    dce_bytes_removed += stats.dce_units_removed * 2;  // code units are u16
-  }
-
   bench::print_header("IR analysis throughput (DroidBench corpus)");
   std::printf("lift:  %zu methods x %d repeats in %.1f ms -> %.0f methods/sec\n",
               methods, repeat, lift_ms, methods_per_sec);
@@ -144,18 +132,14 @@ int main(int argc, char** argv) {
       "(%zu flows) across %zu samples x %zu presets\n",
       bytecode_ms, bytecode_flows, ssa_ms, ssa_flows, files.size(),
       configs.size());
-  std::printf("dce:   %zu methods changed, %zu bytes removed\n",
-              dce_methods_changed, dce_bytes_removed);
 
   std::printf(
       "BENCH_JSON {\"bench\":\"ir_analysis\",\"samples\":%zu,\"methods\":%zu,"
       "\"lifts\":%zu,\"lift_wall_ms\":%.2f,\"methods_per_sec_lifted\":%.1f,"
       "\"taint_bytecode_ms\":%.2f,\"taint_ssa_ms\":%.2f,"
-      "\"taint_bytecode_flows\":%zu,\"taint_ssa_flows\":%zu,"
-      "\"dce_methods_changed\":%zu,\"dce_bytes_removed\":%zu}\n",
+      "\"taint_bytecode_flows\":%zu,\"taint_ssa_flows\":%zu}\n",
       files.size(), methods, lifts, lift_ms, methods_per_sec, bytecode_ms,
-      ssa_ms, bytecode_flows, ssa_flows, dce_methods_changed,
-      dce_bytes_removed);
+      ssa_ms, bytecode_flows, ssa_flows);
 
   // The SSA engine may only ever remove flows relative to the bytecode
   // engine (constant-branch pruning); more flows means a precision bug.

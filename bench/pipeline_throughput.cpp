@@ -6,7 +6,12 @@
 // 10k-app large_corpus scenario.
 //
 // Each line prefixed BENCH_JSON is machine-readable (one JSON object per
-// config) so throughput trajectories can be tracked across commits. Every
+// config) so throughput trajectories can be tracked across commits. The
+// sequential baseline config (1 thread, first shard config) is the speedup
+// denominator and the baseline-gated config, so it takes one untimed
+// warm-up pass and then kBaselineReps timed passes; its line reports the
+// median wall_ms/apps_per_sec, apps_per_sec_iqr and reps. Every other
+// config runs once (reps 1, IQR 0). Every
 // config's per-app dex fingerprints are compared against the first config's
 // — any divergence across thread or shard counts is an immediate exit 1
 // (the pipeline's byte-identity invariant, docs/ARCHITECTURE.md).
@@ -29,9 +34,10 @@
 //               shard config) reaches the bar — ci.sh sets 4/2.0 on hosts
 //               with >= 4 hardware threads, reporting-only elsewhere
 //   --baseline-apps-per-sec/--max-regression
-//               exit 1 if the 1-thread apps/sec of the first shard config
-//               falls more than the fraction (default 0.10) below the
-//               recorded baseline (ci.sh reads bench/pipeline_baseline.json)
+//               exit 1 if the median 1-thread apps/sec of the first shard
+//               config falls more than the fraction (default 0.10) below
+//               the recorded baseline (ci.sh reads
+//               bench/pipeline_baseline.json)
 //
 // A bare positional number is accepted as the legacy droidbench repeat.
 #include <cstdio>
@@ -48,6 +54,9 @@
 using namespace dexlego;
 
 namespace {
+
+// Timed passes of the sequential baseline config (after one warm-up pass).
+constexpr int kBaselineReps = 5;
 
 std::vector<size_t> parse_csv(const char* text, size_t min, size_t max) {
   std::vector<size_t> values;
@@ -153,8 +162,8 @@ int main(int argc, char** argv) {
   // reproduce them bit for bit, whatever its thread or shard count.
   std::vector<uint64_t> reference;
   size_t identity_mismatches = 0;
-  double sequential_ms = 0.0;       // 1-thread wall of the FIRST shard config
-  double sequential_rate = 0.0;     // its apps/sec
+  double sequential_ms = 0.0;       // median 1-thread wall, FIRST shard config
+  double sequential_rate = 0.0;     // its median apps/sec
   double gate_speedup = -1.0;       // speedup at the gate config, if run
 
   for (size_t si = 0; si < shard_list.size(); ++si) {
@@ -163,37 +172,47 @@ int main(int argc, char** argv) {
       options.threads = threads;
       options.store_shards = shard_list[si];
       options.keep_dex = false;  // throughput run; don't hold every DEX
-      pipeline::BatchReport report = pipeline::run_batch(jobs, options);
-      const pipeline::FleetStats& fleet = report.fleet;
-
-      if (reference.empty()) {
-        reference.reserve(report.jobs.size());
-        for (const pipeline::JobResult& job : report.jobs) {
-          reference.push_back(job.dex_fingerprint);
-        }
-      } else {
-        for (size_t j = 0; j < report.jobs.size(); ++j) {
-          if (report.jobs[j].dex_fingerprint != reference[j]) {
-            ++identity_mismatches;
-            std::fprintf(stderr,
-                         "IDENTITY MISMATCH at threads=%zu shards=%zu: %s\n",
-                         threads, shard_list[si],
-                         report.jobs[j].name.c_str());
+      bool baseline_config = si == 0 && threads == 1;
+      int runs = baseline_config ? 1 + kBaselineReps : 1;  // + 1 warm-up
+      std::vector<double> walls;
+      std::vector<double> rates;
+      pipeline::BatchReport report;
+      for (int run = 0; run < runs; ++run) {
+        report = pipeline::run_batch(jobs, options);
+        if (reference.empty()) {
+          reference.reserve(report.jobs.size());
+          for (const pipeline::JobResult& job : report.jobs) {
+            reference.push_back(job.dex_fingerprint);
+          }
+        } else {
+          for (size_t j = 0; j < report.jobs.size(); ++j) {
+            if (report.jobs[j].dex_fingerprint != reference[j]) {
+              ++identity_mismatches;
+              std::fprintf(stderr,
+                           "IDENTITY MISMATCH at threads=%zu shards=%zu: %s\n",
+                           threads, shard_list[si],
+                           report.jobs[j].name.c_str());
+            }
           }
         }
+        if (runs > 1 && run == 0) continue;  // untimed warm-up
+        walls.push_back(report.fleet.wall_ms);
+        rates.push_back(report.fleet.apps_per_sec);
       }
+      const pipeline::FleetStats& fleet = report.fleet;
+      bench::Spread wall = bench::spread(walls);
+      bench::Spread rate = bench::spread(rates);
 
-      if (si == 0 && threads == 1) {
-        sequential_ms = fleet.wall_ms;
-        sequential_rate = fleet.apps_per_sec;
+      if (baseline_config) {
+        sequential_ms = wall.median;
+        sequential_rate = rate.median;
       }
-      double speedup =
-          fleet.wall_ms > 0.0 ? sequential_ms / fleet.wall_ms : 0.0;
+      double speedup = wall.median > 0.0 ? sequential_ms / wall.median : 0.0;
       if (si == 0 && threads == gate_threads) gate_speedup = speedup;
 
       char wall_s[24], rate_s[24], speed_s[16], hit_s[16], ver_s[16];
-      std::snprintf(wall_s, sizeof(wall_s), "%.1f", fleet.wall_ms);
-      std::snprintf(rate_s, sizeof(rate_s), "%.1f", fleet.apps_per_sec);
+      std::snprintf(wall_s, sizeof(wall_s), "%.1f", wall.median);
+      std::snprintf(rate_s, sizeof(rate_s), "%.1f", rate.median);
       std::snprintf(speed_s, sizeof(speed_s), "%.2fx", speedup);
       std::snprintf(hit_s, sizeof(hit_s), "%.1f%%",
                     fleet.dedup_hit_rate * 100.0);
@@ -207,12 +226,13 @@ int main(int argc, char** argv) {
       std::printf(
           "BENCH_JSON {\"bench\":\"pipeline_throughput\",\"corpus\":\"%s\","
           "\"threads\":%zu,\"shards\":%zu,\"jobs\":%zu,\"wall_ms\":%.2f,"
-          "\"apps_per_sec\":%.2f,\"speedup_vs_1t\":%.3f,"
+          "\"apps_per_sec\":%.2f,\"apps_per_sec_iqr\":%.2f,\"reps\":%zu,"
+          "\"speedup_vs_1t\":%.3f,"
           "\"dedup_hit_rate\":%.4f,\"store_entries\":%zu,"
           "\"bytes_deduped\":%llu,\"verified\":%zu,\"queue_pops\":%llu,"
           "\"queue_tasks\":%llu,\"max_chunk\":%zu}\n",
-          corpus.c_str(), threads, shard_list[si], fleet.jobs, fleet.wall_ms,
-          fleet.apps_per_sec, speedup, fleet.dedup_hit_rate,
+          corpus.c_str(), threads, shard_list[si], fleet.jobs, wall.median,
+          rate.median, rate.iqr, rates.size(), speedup, fleet.dedup_hit_rate,
           fleet.store.entries,
           static_cast<unsigned long long>(fleet.store.bytes_deduped),
           fleet.verified, static_cast<unsigned long long>(fleet.queue_pops),
@@ -249,16 +269,16 @@ int main(int argc, char** argv) {
     double floor = baseline_apps_per_sec * (1.0 - max_regression);
     if (sequential_rate < floor) {
       std::fprintf(stderr,
-                   "FAIL: 1-thread throughput %.1f apps/sec regressed more "
-                   "than %.0f%% below the recorded baseline %.1f\n",
+                   "FAIL: median 1-thread throughput %.1f apps/sec regressed "
+                   "more than %.0f%% below the recorded baseline %.1f\n",
                    sequential_rate, max_regression * 100.0,
                    baseline_apps_per_sec);
       failed = true;
     } else {
       std::printf(
-          "baseline gate passed: %.1f apps/sec at 1 thread (baseline %.1f, "
-          "floor %.1f)\n",
-          sequential_rate, baseline_apps_per_sec, floor);
+          "baseline gate passed: median %.1f apps/sec at 1 thread over %d "
+          "passes (baseline %.1f, floor %.1f)\n",
+          sequential_rate, kBaselineReps, baseline_apps_per_sec, floor);
     }
   }
   std::printf(

@@ -29,9 +29,12 @@
 //                         a second run over the same --store
 //
 // Exit status: 0 when every job reached kDone (and the asserted properties
-// held); 1 otherwise.
+// held); 1 otherwise, including when the store cannot be opened — e.g.
+// another dexlego_service already holds it.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -137,7 +140,14 @@ int main(int argc, char** argv) {
   service::ServiceOptions options;
   options.threads = threads;
   options.store_shards = shards;
-  service::ExtractionService svc(store_dir, options);
+  std::unique_ptr<service::ExtractionService> owned;
+  try {
+    owned = std::make_unique<service::ExtractionService>(store_dir, options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dexlego_service: %s\n", e.what());
+    return 1;
+  }
+  service::ExtractionService& svc = *owned;
   if (quota.max_in_flight || quota.max_in_flight_bytes) {
     svc.set_quota(tenant, quota);
   }

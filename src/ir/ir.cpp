@@ -385,7 +385,6 @@ std::string to_string(const Function& fn) {
     }
     for (const Inst& inst : b.insts) {
       os << "  ";
-      if (inst.dead) os << "(dead) ";
       if (inst.def != kNoValue) os << val(inst.def) << " = ";
       os << bc::op_info(inst.src.op).name;
       for (size_t i = 0; i < inst.uses.size(); ++i) {

@@ -1,9 +1,9 @@
-// Typed SSA intermediate representation for LDEX method bodies. Each IR
-// instruction wraps its decoded bc::Insn and links operands to SSA values;
-// basic blocks carry phi nodes whose operands align with the predecessor
-// list. The lifter (lift.h) builds this form from raw code units and the
-// lowering pass (lower.h) re-emits code units — byte-identical to the
-// source when no optimization pass ran (ARCHITECTURE invariant 15).
+// Typed SSA intermediate representation for LDEX method bodies, built for
+// analysis only. Each IR instruction wraps its decoded bc::Insn and links
+// operands to SSA values; basic blocks carry phi nodes whose operands align
+// with the predecessor list. The lifter (lift.h) builds this form from raw
+// code units; the IR is never lowered back — the SSA taint engine
+// (src/analysis/ssa_taint.h) is its consumer.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,8 @@ enum class TypeKind : uint8_t { kUnknown, kInt, kWide, kRef };
 
 const char* type_name(TypeKind kind);
 
-// One SSA value: a single static assignment of an original frame register
-// (origin_reg >= 0) or a pass-introduced temporary (origin_reg < 0).
+// One SSA value: a single static assignment of an original frame register,
+// or of the invoke-result pseudo register (origin_reg == registers_size).
 struct Value {
   TypeKind type = TypeKind::kUnknown;
   int32_t origin_reg = -1;     // frame register this value versions
@@ -56,15 +56,14 @@ struct Inst {
   uint32_t orig_pc = 0;  // code-unit pc in the source body
   ValueId def = kNoValue;
   std::vector<ValueId> uses;
-  bool dead = false;  // set by passes; lowering skips dead instructions
 };
 
-// Basic block. Blocks are kept in ascending start_pc order ("layout order")
-// so lowering can re-emit the original instruction sequence.
+// Basic block. Blocks are kept in ascending start_pc order ("layout order"),
+// so walking them in order visits the source instructions in sequence.
 struct Block {
   uint32_t id = 0;
   uint32_t start_pc = 0;
-  bool reachable = true;  // false: raw block, no SSA links, emitted verbatim
+  bool reachable = true;  // false: raw block, no SSA links, no CFG edges
   std::vector<Phi> phis;
   std::vector<Inst> insts;
   std::vector<uint32_t> preds;
@@ -72,24 +71,13 @@ struct Block {
   uint32_t idom = kNoBlock;  // immediate dominator (reachable blocks only)
 };
 
-// Switch payload island: raw data units re-emitted verbatim by lowering.
-struct PayloadIsland {
-  uint32_t pc = 0;
-  std::vector<uint16_t> units;       // header + targets, exactly as decoded
-  std::vector<uint32_t> switch_pcs;  // original pcs of referencing switches
-};
-
 // A whole method body in SSA form.
 struct Function {
   uint16_t registers_size = 0;  // original frame size
   uint16_t ins_size = 0;
-  size_t code_units = 0;  // original insns.size()
-  bool drop_unreachable = false;  // set by DCE: lowering drops raw blocks
   std::vector<Block> blocks;  // blocks[0] is the entry; layout order
   std::vector<Value> values;
-  std::vector<PayloadIsland> payloads;
-  std::vector<dex::TryItem> tries;   // source coordinates
-  std::vector<dex::LineEntry> lines; // source coordinates
+  std::vector<dex::TryItem> tries;  // source coordinates
 
   // Pseudo-register modelling the interpreter's "last invoke result" slot:
   // invokes define it, kMoveResult reads it. Never appears in encodings.

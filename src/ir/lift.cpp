@@ -21,7 +21,6 @@ struct RawInst {
 
 struct Sweep {
   std::vector<RawInst> insts;
-  std::vector<PayloadIsland> payloads;
   std::set<uint32_t> inst_pcs;  // pcs that start a real instruction
 };
 
@@ -31,18 +30,12 @@ Sweep decode_sweep(const dex::CodeItem& code) {
   size_t pc = 0;
   while (pc < units.size()) {
     Insn insn = bc::decode_at(units, pc);
-    size_t width = bc::consumed_units(insn);
-    if (insn.op == Op::kPayload) {
-      PayloadIsland island;
-      island.pc = static_cast<uint32_t>(pc);
-      island.units.assign(units.begin() + static_cast<ptrdiff_t>(pc),
-                          units.begin() + static_cast<ptrdiff_t>(pc + width));
-      sweep.payloads.push_back(std::move(island));
-    } else {
+    // Switch payload islands are data, not instructions: skip them whole.
+    if (insn.op != Op::kPayload) {
       sweep.insts.push_back({static_cast<uint32_t>(pc), insn});
       sweep.inst_pcs.insert(static_cast<uint32_t>(pc));
     }
-    pc += width;
+    pc += bc::consumed_units(insn);
   }
   return sweep;
 }
@@ -118,14 +111,10 @@ class Lifter {
   Function run() {
     fn_.registers_size = code_.registers_size;
     fn_.ins_size = code_.ins_size;
-    fn_.code_units = code_.insns.size();
     fn_.tries = code_.tries;
-    fn_.lines = code_.lines;
 
     Sweep sweep = decode_sweep(code_);
-    fn_.payloads = std::move(sweep.payloads);
     build_blocks(sweep);
-    link_switch_payloads();
     mark_reachable();
     strip_unreachable_edges();
     idom_ = compute_idoms(fn_);
@@ -231,21 +220,6 @@ class Lifter {
     }
   }
 
-  void link_switch_payloads() {
-    for (const Block& b : fn_.blocks) {
-      for (const Inst& inst : b.insts) {
-        if (inst.src.op != Op::kPackedSwitch) continue;
-        uint32_t payload_pc =
-            static_cast<uint32_t>(inst.orig_pc + inst.src.off);
-        for (PayloadIsland& island : fn_.payloads) {
-          if (island.pc == payload_pc) {
-            island.switch_pcs.push_back(inst.orig_pc);
-          }
-        }
-      }
-    }
-  }
-
   void mark_reachable() {
     for (Block& b : fn_.blocks) b.reachable = false;
     std::vector<uint32_t> stack{0};
@@ -263,8 +237,7 @@ class Lifter {
     }
   }
 
-  // Unreachable blocks are kept for verbatim re-emission but leave the
-  // CFG entirely: their edges would otherwise force phi operands that no
+  // Unreachable blocks keep their instructions but leave the CFG entirely: their edges would otherwise force phi operands that no
   // reachable definition can supply.
   void strip_unreachable_edges() {
     for (Block& b : fn_.blocks) {

@@ -1,8 +1,10 @@
 // Lifts LDEX method bodies into the SSA IR (ir.h): linear decode, basic
 // blocks at branch targets and try boundaries, dominator-tree phi
 // placement, register renaming, and type inference from opcode formats and
-// method shorties. Throws support::ParseError when the body does not
-// decode linearly (the same condition the verifier rejects).
+// method shorties. Lifting is one-way: the source body is only read, and
+// the IR is never lowered back to code units. Throws support::ParseError
+// when the body does not decode linearly (the same condition the verifier
+// rejects).
 #pragma once
 
 #include "src/dex/dex.h"

@@ -512,9 +512,6 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
     fleet.unique_trees += job.unique_trees;
     fleet.dedup_hits += job.dedup_hits;
     fleet.dedup_misses += job.dedup_misses;
-    fleet.ir_methods += job.reassemble.ir_methods;
-    fleet.ir_byte_identical += job.reassemble.ir_byte_identical;
-    fleet.ir_failed += job.reassemble.ir_failed;
     fleet.cpu_ms += job.cpu_ms;
   }
   if (fleet.jobs > 0) {

@@ -1,7 +1,10 @@
 #include "src/service/persistent_store.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -37,7 +40,35 @@ uint64_t read_u64(const uint8_t* p) {
   return v;
 }
 
+// Opens <dir>/LOCK and takes an exclusive, non-blocking flock on it.
+// flock locks belong to the open file description, so a second opener
+// conflicts even inside the same process.
+int lock_directory(const std::string& dir) {
+  const std::string path = dir + "/LOCK";
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    throw std::runtime_error("persistent store: cannot open " + path + ": " +
+                             std::strerror(errno));
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      throw std::runtime_error("persistent store: " + dir +
+                               " is already open by another store (" + path +
+                               " is locked)");
+    }
+    throw std::runtime_error("persistent store: cannot lock " + path + ": " +
+                             std::strerror(err));
+  }
+  return fd;
+}
+
 }  // namespace
+
+PersistentDedupStore::DirLock::~DirLock() {
+  if (fd >= 0) ::close(fd);  // closing the last descriptor drops the flock
+}
 
 PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
     : DedupStore(base_options(options)),
@@ -50,6 +81,7 @@ PersistentDedupStore::PersistentDedupStore(std::string dir, Options options)
     throw std::runtime_error("persistent store: cannot create directory " +
                              dir_ + ": " + ec.message());
   }
+  lock_.fd = lock_directory(dir_);
 
   // Replay every segment present, whatever shard count wrote it: ids are
   // content hashes, so each replayed payload re-interns into whichever

@@ -22,6 +22,10 @@
 //                  shorter than the index claims — falls back to validating
 //                  that whole segment. Either way the in-memory index is
 //                  rebuilt from the logs, never from index.bin alone.
+//   LOCK           empty file holding an exclusive flock(2) for the life of
+//                  the store object, so a second PersistentDedupStore (or
+//                  ExtractionService) on the same directory fails closed at
+//                  open instead of interleaving appends in the shard logs.
 //
 // Crash contract: every entry visible in memory was appended to its log
 // first, so losing the process loses at most buffered tail records — never
@@ -88,9 +92,10 @@ class PersistentDedupStore : public pipeline::DedupStore {
     uint64_t truncated_bytes = 0;
   };
 
-  // Opens (creating if needed) the store at `dir` and replays its logs.
-  // Throws std::runtime_error when the directory cannot be created or a
-  // segment cannot be opened for append.
+  // Opens (creating if needed) the store at `dir`, locks it and replays its
+  // logs. Throws std::runtime_error when the directory cannot be created,
+  // another live store object (in this or any process) holds its lock, or
+  // a segment cannot be opened for append.
   explicit PersistentDedupStore(std::string dir)
       : PersistentDedupStore(std::move(dir), Options{}) {}
   PersistentDedupStore(std::string dir, Options options);
@@ -119,7 +124,18 @@ class PersistentDedupStore : public pipeline::DedupStore {
   void load_index(std::array<uint64_t, 256>& trusted_sizes);
   void write_index();
 
+  // Owns the LOCK file descriptor; a member rather than destructor code so
+  // a constructor that throws after locking still releases the lock.
+  struct DirLock {
+    int fd = -1;
+    DirLock() = default;
+    DirLock(const DirLock&) = delete;
+    DirLock& operator=(const DirLock&) = delete;
+    ~DirLock();
+  };
+
   std::string dir_;
+  DirLock lock_;
   bool fsync_ = false;
   bool flush_on_close_ = true;
   bool replaying_ = true;  // suppress persist() during constructor replay

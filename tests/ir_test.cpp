@@ -1,10 +1,9 @@
-// SSA IR backend battery (docs/IR.md, ARCHITECTURE invariant 15):
+// SSA IR battery (docs/IR.md):
 //  - SSA well-formedness (single def, phi arity, dominance of uses) across
 //    every DroidBench sample, plus negative cases proving the verifier bites;
-//  - lift→lower byte identity over original and revealed method bodies and
-//    the pinned fuzz replay corpus;
-//  - DCE'd revealed files staying trace-equivalent to the direct path under
-//    kBaseline and kCached dispatch;
+//  - lift fidelity over original and revealed DroidBench bodies and the
+//    pinned fuzz replay corpus: every linearly decoded instruction appears
+//    exactly once in the lifted blocks, in layout order, unchanged;
 //  - the SSA taint engine's recall/precision contract against the bytecode
 //    engine (no missed flows anywhere, strictly fewer false positives on the
 //    flow-sensitivity samples), printed as a comparison table.
@@ -18,19 +17,12 @@
 #include "src/analysis/static_taint.h"
 #include "src/benchsuite/droidbench.h"
 #include "src/bytecode/assembler.h"
-#include "src/bytecode/verify_code.h"
 #include "src/core/dexlego.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
 #include "src/fuzz/replay.h"
 #include "src/ir/ir.h"
 #include "src/ir/lift.h"
-#include "src/ir/lower.h"
-#include "src/ir/passes.h"
-#include "src/ir/roundtrip.h"
-#include "src/pipeline/batch.h"
-#include "src/pipeline/scenarios.h"
-#include "tests/harness/diff_fixture.h"
 
 namespace dexlego {
 namespace {
@@ -212,241 +204,69 @@ TEST(IrSsa, TypesInferredFromFormatsAndShorties) {
 }
 
 // ---------------------------------------------------------------------------
-// Lift→lower round trip
+// Lift fidelity
 // ---------------------------------------------------------------------------
 
-TEST(IrRoundtrip, ByteIdenticalAcrossDroidBench) {
-  size_t methods = 0;
-  for (const suite::Sample& sample : droidbench().samples) {
-    dex::DexFile file = sample_classes(sample);
-    for_each_code_method(file, [&](const dex::MethodDef& m) {
-      ++methods;
-      std::string error;
-      ASSERT_TRUE(ir::roundtrip_identical(file, m, &error))
-          << sample.name << " " << file.pretty_method(m.method_ref) << ": "
-          << error;
-    });
-  }
-  EXPECT_GT(methods, 200u);
-}
-
-TEST(IrRoundtrip, FuzzReplayCorpusSeedsRoundTrip) {
-  // Every pinned replay names a deterministic seed app; those bodies must
-  // round-trip byte-identically (the mutants themselves are re-oracled by
-  // the FuzzRegressions suite with the IR stage enabled).
-  namespace fs = std::filesystem;
-  fs::path dir(DEXLEGO_FUZZ_DATA_DIR);
-  ASSERT_TRUE(fs::exists(dir)) << dir;
-  size_t corpus_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() != ".lfz") continue;
-    ++corpus_files;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    fuzz::ReplayFile replay = fuzz::deserialize(bytes);
-    fuzz::SeedInput seed = fuzz::resolve_seed(replay.seed_key);
-    dex::DexFile file = dex::read_dex(seed.apk.classes());
-    for_each_code_method(file, [&](const dex::MethodDef& m) {
-      std::string error;
-      EXPECT_TRUE(ir::roundtrip_identical(file, m, &error))
-          << replay.seed_key << " " << file.pretty_method(m.method_ref)
-          << ": " << error;
-    });
-  }
-  EXPECT_GT(corpus_files, 0u) << "pinned corpus missing";
-}
-
-bool traces_equal(const harness::ExecutionTrace& a,
-                  const harness::ExecutionTrace& b, std::string* why) {
-  if (a.sink_log != b.sink_log || a.leak_count != b.leak_count ||
-      a.phases.size() != b.phases.size()) {
-    *why = "trace mismatch:\n--- direct ---\n" + a.summary() +
-           "\n--- lowered ---\n" + b.summary();
-    return false;
-  }
-  for (size_t i = 0; i < a.phases.size(); ++i) {
-    if (!(a.phases[i] == b.phases[i])) {
-      *why = "phase " + a.phases[i].describe() + " vs " +
-             b.phases[i].describe();
-      return false;
-    }
-  }
-  return true;
-}
-
-// Reveal each sample once, then: (a) the revealed bodies round-trip
-// byte-identically — which is exactly why the ir_roundtrip reassembly path
-// emits the same revealed files as the direct path; (b) a DCE'd revealed
-// file stays trace-equivalent to the revealed one under both dispatch
-// modes. Self-modifying samples are excluded from (b): their natives patch
-// code units at hard-coded pcs, which DCE legitimately shifts.
-TEST(IrRoundtrip, RevealedFilesRoundTripAndDcedTracesMatchAllTiers) {
-  const rt::DispatchMode kModes[] = {rt::DispatchMode::kBaseline,
-                                     rt::DispatchMode::kCached};
-  size_t dce_checked = 0;
-  size_t dce_changed = 0;
-  for (const suite::Sample& sample : droidbench().samples) {
-    core::DexLegoOptions options;
-    options.configure_runtime = sample.configure_runtime;
-    core::DexLego dexlego(options);
-    core::RevealResult reveal = dexlego.reveal(sample.apk);
-    ASSERT_TRUE(reveal.verified) << sample.name;
-
-    dex::DexFile revealed = dex::read_dex(reveal.revealed_apk.classes());
-    std::vector<std::string> errors;
-    ir::RoundtripOptions identity;
-    ir::RoundtripStats stats = ir::roundtrip_file(revealed, identity, &errors);
-    ASSERT_TRUE(stats.clean())
-        << sample.name << ": " << (errors.empty() ? "?" : errors.front());
-    ASSERT_EQ(stats.byte_identical, stats.methods) << sample.name;
-
-    if (sample.name.rfind("SelfMod", 0) == 0) continue;
-    ++dce_checked;
-    dex::DexFile optimized = dex::read_dex(reveal.revealed_apk.classes());
-    ir::RoundtripOptions dce;
-    dce.apply_dce = true;
-    ir::RoundtripStats dce_stats = ir::roundtrip_file(optimized, dce, &errors);
-    ASSERT_TRUE(dce_stats.clean())
-        << sample.name << ": " << (errors.empty() ? "?" : errors.front());
-    if (dce_stats.dce_methods_changed == 0) continue;
-    ++dce_changed;
-    dex::Apk dce_apk = reveal.revealed_apk;
-    dce_apk.set_classes(dex::write_dex(optimized));
-    for (rt::DispatchMode mode : kModes) {
-      rt::RuntimeConfig config;
-      config.dispatch = mode;
-      harness::ExecutionTrace direct = harness::run_and_trace(
-          reveal.revealed_apk, sample.configure_runtime, config);
-      harness::ExecutionTrace lowered =
-          harness::run_and_trace(dce_apk, sample.configure_runtime, config);
-      std::string why;
-      EXPECT_TRUE(traces_equal(direct, lowered, &why))
-          << sample.name << " mode " << static_cast<int>(mode) << ": " << why;
-    }
-  }
-  EXPECT_GT(dce_checked, 100u);
-  EXPECT_GT(dce_changed, 0u)
-      << "DCE never fired on any revealed file — pass is inert";
-}
-
-// ---------------------------------------------------------------------------
-// Passes and lowering mechanics
-// ---------------------------------------------------------------------------
-
-TEST(IrPasses, DceRemovesDeadPureCode) {
-  bc::MethodAssembler as(4, 0);
-  as.const16(0, 1);        // live (returned)
-  as.const16(1, 42);       // dead
-  as.binop(Op::kAdd, 2, 1, 1);  // dead chain
-  as.nop();                // dead by definition
-  as.return_value(0);
-  dex::CodeItem code = as.finish();
-
-  ir::Function fn = ir::lift_code(code);
-  ir::DceStats stats = ir::dead_code_elim(fn);
-  EXPECT_GE(stats.insts_removed, 3u);
-  EXPECT_GT(stats.units_removed, 0u);
-  ASSERT_TRUE(ir::verify_function(fn).empty());
-
-  dex::CodeItem lowered = ir::lower(fn);
-  EXPECT_LT(lowered.insns.size(), code.insns.size());
-  // The slimmed body must still decode end to end and re-lift cleanly.
-  ir::Function relift = ir::lift_code(lowered);
-  EXPECT_TRUE(ir::verify_function(relift).empty());
-}
-
-TEST(IrPasses, DceKeepsThrowingAndEffectfulCode) {
-  bc::MethodAssembler as(4, 2);
-  as.binop(Op::kDiv, 0, 2, 3);  // result unused but division can throw
-  as.const16(1, 5);             // dead
-  as.return_void();
-  ir::Function fn = ir::lift_code(as.finish());
-  ir::DceStats stats = ir::dead_code_elim(fn);
-  EXPECT_EQ(stats.insts_removed, 1u);  // only the const dies
-  bool div_alive = false;
-  for (const ir::Block& b : fn.blocks) {
-    for (const ir::Inst& inst : b.insts) {
-      if (inst.src.op == Op::kDiv) div_alive = !inst.dead;
-    }
-  }
-  EXPECT_TRUE(div_alive);
-}
-
-TEST(IrPasses, DceRetargetsBranchesOverRemovedCode) {
-  bc::MethodAssembler as(4, 1);
-  auto target = as.make_label();
-  as.const16(0, 0);
-  as.if_testz(Op::kIfEqz, 3, target);
-  as.const16(1, 99);  // dead filler on fallthrough path
-  as.const16(2, 98);  // dead filler
-  as.bind(target);
-  as.return_value(0);
-  dex::CodeItem code = as.finish();
-
-  ir::Function fn = ir::lift_code(code);
-  ir::DceStats stats = ir::dead_code_elim(fn);
-  EXPECT_GE(stats.insts_removed, 2u);
-  dex::CodeItem lowered = ir::lower(fn);
-  EXPECT_LT(lowered.insns.size(), code.insns.size());
-  // The if must now land exactly on the surviving return.
-  ir::Function relift = ir::lift_code(lowered);
-  EXPECT_TRUE(ir::verify_function(relift).empty()) << ir::to_string(relift);
-}
-
-TEST(IrLower, CopyInsertionForPassIntroducedValues) {
-  // Simulate a pass that rewires a phi operand to a temporary with no
-  // origin register: lowering must allocate a scratch register and insert
-  // a move on the incoming edge.
-  bc::MethodAssembler as(3, 1);
-  auto join = as.make_label();
-  auto other = as.make_label();
-  as.const16(0, 1);
-  as.if_testz(Op::kIfEqz, 2, other);
-  as.goto_(join);
-  as.bind(other);
-  as.const16(0, 2);
-  as.goto_(join);
-  as.bind(join);
-  as.return_value(0);
-  ir::Function fn = ir::lift_code(as.finish());
-  ASSERT_TRUE(ir::verify_function(fn).empty()) << ir::to_string(fn);
-
-  bool rewired = false;
-  for (ir::Block& b : fn.blocks) {
-    for (ir::Phi& phi : b.phis) {
-      if (phi.reg != 0 || phi.args.empty()) continue;
-      // Detach the operand's register assignment.
-      for (size_t i = 0; i < phi.args.size(); ++i) {
-        ir::ValueId v = phi.args[i];
-        if (v == ir::kNoValue) continue;
-        if (fn.value(v).def_inst < 0) continue;  // keep entry/phi defs
-        if (fn.blocks[b.preds[i]].succs.size() != 1) continue;
-        fn.value(v).origin_reg = -1;
-        rewired = true;
-        break;
-      }
-      if (rewired) break;
-    }
-    if (rewired) break;
-  }
-  ASSERT_TRUE(rewired) << ir::to_string(fn);
-
-  dex::CodeItem lowered = ir::lower(fn);
-  EXPECT_GT(lowered.registers_size, 3u) << "no scratch register allocated";
-  bool has_move = false;
-  std::span<const uint16_t> units(lowered.insns);
+// Checks one body against its lift: the function is SSA-well-formed, and
+// the instructions of an independent linear decode (payload islands
+// skipped) appear exactly once across the lifted blocks, in layout order,
+// each with its source pc and an equal bc::Insn. Returns the first problem,
+// or an empty string.
+std::string lift_fidelity(const dex::CodeItem& code, const ir::Function& fn) {
+  std::vector<std::string> errors = ir::verify_function(fn);
+  if (!errors.empty()) return "SSA verify: " + errors.front();
+  std::vector<std::pair<uint32_t, bc::Insn>> decoded;
+  std::span<const uint16_t> units(code.insns);
   for (size_t pc = 0; pc < units.size();) {
     bc::Insn insn = bc::decode_at(units, pc);
-    if (insn.op == Op::kMove) has_move = true;
+    if (insn.op != Op::kPayload) {
+      decoded.emplace_back(static_cast<uint32_t>(pc), insn);
+    }
     pc += bc::consumed_units(insn);
   }
-  EXPECT_TRUE(has_move) << "no copy inserted";
-  ir::Function relift = ir::lift_code(lowered);
-  EXPECT_TRUE(ir::verify_function(relift).empty());
+  size_t next = 0;
+  for (const ir::Block& b : fn.blocks) {
+    for (const ir::Inst& inst : b.insts) {
+      std::string at = "block " + std::to_string(b.id) + " pc " +
+                       std::to_string(inst.orig_pc);
+      if (next == decoded.size()) return at + ": not in the linear decode";
+      if (inst.orig_pc != decoded[next].first) {
+        return at + ": expected pc " + std::to_string(decoded[next].first);
+      }
+      if (!(inst.src == decoded[next].second)) {
+        return at + ": instruction differs from the linear decode";
+      }
+      ++next;
+    }
+  }
+  if (next != decoded.size()) {
+    return "pc " + std::to_string(decoded[next].first) + " missing from blocks";
+  }
+  return {};
 }
 
-TEST(IrRoundtrip, SwitchPayloadAndTriesSurviveRoundTrip) {
+// lift_method + lift_fidelity for every code-bearing method of `file`.
+// Returns the number of methods checked.
+size_t expect_file_lifts_faithfully(const dex::DexFile& file,
+                                    const std::string& what) {
+  size_t methods = 0;
+  for_each_code_method(file, [&](const dex::MethodDef& m) {
+    ++methods;
+    std::string problem;
+    try {
+      problem = lift_fidelity(*m.code, ir::lift_method(file, m));
+    } catch (const std::exception& e) {
+      problem = std::string("lift threw: ") + e.what();
+    }
+    EXPECT_TRUE(problem.empty())
+        << what << " " << file.pretty_method(m.method_ref) << ": " << problem;
+  });
+  return methods;
+}
+
+// Packed switch inside a try range, with a handler: exercises payload
+// island skipping, switch edges and the per-instruction try split.
+dex::CodeItem switch_in_try_code() {
   bc::MethodAssembler as(4, 1);
   auto c0 = as.make_label();
   auto c1 = as.make_label();
@@ -468,33 +288,69 @@ TEST(IrRoundtrip, SwitchPayloadAndTriesSurviveRoundTrip) {
   as.const16(0, 12);
   as.bind(done);
   as.return_value(0);
-  dex::CodeItem code = as.finish();
+  return as.finish();
+}
 
-  ir::Function fn = ir::lift_code(code);
-  ASSERT_TRUE(ir::verify_function(fn).empty()) << ir::to_string(fn);
-  dex::CodeItem lowered = ir::lower(fn);
-  EXPECT_EQ(code.insns, lowered.insns);
-  ASSERT_EQ(code.tries.size(), lowered.tries.size());
-  for (size_t i = 0; i < code.tries.size(); ++i) {
-    EXPECT_EQ(code.tries[i].start_pc, lowered.tries[i].start_pc);
-    EXPECT_EQ(code.tries[i].end_pc, lowered.tries[i].end_pc);
-    EXPECT_EQ(code.tries[i].handler_pc, lowered.tries[i].handler_pc);
+TEST(IrLift, EveryDecodedInstructionLiftsOnceInLayoutOrder) {
+  // Assembled shapes: a loop, and a switch payload plus try/handler.
+  for (const dex::CodeItem& code : {diamond_loop_code(), switch_in_try_code()}) {
+    std::string problem = lift_fidelity(code, ir::lift_code(code));
+    EXPECT_TRUE(problem.empty()) << problem;
   }
+
+  // DroidBench sources.
+  size_t source_methods = 0;
+  for (const suite::Sample& sample : droidbench().samples) {
+    source_methods +=
+        expect_file_lifts_faithfully(sample_classes(sample), sample.name);
+  }
+  EXPECT_GT(source_methods, 200u) << "corpus unexpectedly small";
+
+  // Seeds of the pinned fuzz replay corpus.
+  namespace fs = std::filesystem;
+  fs::path dir(DEXLEGO_FUZZ_DATA_DIR);
+  ASSERT_TRUE(fs::exists(dir)) << dir;
+  size_t corpus_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".lfz") continue;
+    ++corpus_files;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    fuzz::ReplayFile replay = fuzz::deserialize(bytes);
+    fuzz::SeedInput seed = fuzz::resolve_seed(replay.seed_key);
+    expect_file_lifts_faithfully(dex::read_dex(seed.apk.classes()),
+                                 replay.seed_key);
+  }
+  EXPECT_GT(corpus_files, 0u) << "pinned corpus missing";
+
+  // Revealed DroidBench files, self-modifying samples included.
+  size_t revealed_methods = 0;
+  for (const suite::Sample& sample : droidbench().samples) {
+    core::DexLegoOptions options;
+    options.configure_runtime = sample.configure_runtime;
+    core::RevealResult reveal = core::DexLego(options).reveal(sample.apk);
+    ASSERT_TRUE(reveal.verified) << sample.name;
+    revealed_methods +=
+        expect_file_lifts_faithfully(dex::read_dex(reveal.revealed_apk.classes()),
+                                     "revealed " + sample.name);
+  }
+  EXPECT_GT(revealed_methods, 200u);
 }
 
 // ---------------------------------------------------------------------------
-// Threaded lift/lower (runs under TSan in ci.sh)
+// Threaded lifting (runs under TSan in ci.sh)
 // ---------------------------------------------------------------------------
 
-TEST(IrThreads, ParallelLiftLowerOverSharedFiles) {
-  // Many threads lift and lower methods from the same immutable DexFiles;
-  // TSan certifies there is no hidden shared mutable state in the IR path.
+TEST(IrThreads, ParallelLiftOverSharedFiles) {
+  // Many threads lift methods from the same immutable DexFiles; TSan
+  // certifies there is no hidden shared mutable state in the lift path.
   std::vector<dex::DexFile> files;
   const auto& samples = droidbench().samples;
   for (size_t i = 0; i < samples.size() && i < 12; ++i) {
     files.push_back(sample_classes(samples[i]));
   }
-  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> failures{0};
   std::atomic<size_t> done{0};
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < 8; ++t) {
@@ -502,9 +358,8 @@ TEST(IrThreads, ParallelLiftLowerOverSharedFiles) {
       for (size_t i = t % files.size(); i < files.size(); i += 2) {
         const dex::DexFile& file = files[i];
         for_each_code_method(file, [&](const dex::MethodDef& m) {
-          std::string error;
-          if (!ir::roundtrip_identical(file, m, &error)) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
+          if (!lift_fidelity(*m.code, ir::lift_method(file, m)).empty()) {
+            failures.fetch_add(1, std::memory_order_relaxed);
           }
           done.fetch_add(1, std::memory_order_relaxed);
         });
@@ -512,7 +367,7 @@ TEST(IrThreads, ParallelLiftLowerOverSharedFiles) {
     });
   }
   for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(done.load(), 0u);
 }
 
@@ -627,39 +482,6 @@ TEST(IrTaint, SsaEnginePrunesConstantBranchInAssembledMethod) {
   ssa_cfg.engine = analysis::TaintEngine::kSsa;
   EXPECT_TRUE(analysis::StaticAnalyzer(bc_cfg).analyze(file).leak_detected());
   EXPECT_FALSE(analysis::StaticAnalyzer(ssa_cfg).analyze(file).leak_detected());
-}
-
-TEST(IrPipeline, BatchIrRoundtripStageCountsEveryMethodByteIdentical) {
-  // The optional pipeline stage (enable_ir_roundtrip / dexlego_batch
-  // --ir-roundtrip): every reassembled body across a droidbench slice must
-  // lift→lower byte-identically, and the counts must surface through
-  // JobResult::reassemble into the fleet roll-up.
-  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
-  jobs.resize(16);
-  pipeline::enable_ir_roundtrip(jobs);
-  pipeline::BatchOptions options;
-  options.threads = 2;
-  pipeline::BatchReport report = pipeline::run_batch(jobs, options);
-  ASSERT_EQ(report.fleet.ok, jobs.size());
-  EXPECT_GT(report.fleet.ir_methods, 0u);
-  EXPECT_EQ(report.fleet.ir_byte_identical, report.fleet.ir_methods);
-  EXPECT_EQ(report.fleet.ir_failed, 0u);
-  for (const pipeline::JobResult& job : report.jobs) {
-    EXPECT_GT(job.reassemble.ir_methods, 0u) << job.name;
-    EXPECT_EQ(job.reassemble.ir_failed, 0u) << job.name;
-  }
-}
-
-TEST(IrPipeline, ReassembleWithoutFlagLeavesIrCountersZero) {
-  // The stage is strictly opt-in: a default reassemble must not pay for (or
-  // report) IR round-trips.
-  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
-  jobs.resize(2);
-  pipeline::BatchReport report = pipeline::run_batch(jobs, {});
-  ASSERT_EQ(report.fleet.ok, jobs.size());
-  EXPECT_EQ(report.fleet.ir_methods, 0u);
-  EXPECT_EQ(report.fleet.ir_byte_identical, 0u);
-  EXPECT_EQ(report.fleet.ir_failed, 0u);
 }
 
 }  // namespace

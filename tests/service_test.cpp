@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,6 +208,54 @@ TEST(PersistentStore, CorruptTailIsDiscarded) {
   EXPECT_EQ(store.lookup(ids[1]), nullptr);
   EXPECT_EQ(store.open_stats().truncated_bytes,
             PersistentDedupStore::kRecordHeaderBytes + 20);
+}
+
+TEST(PersistentStore, SecondOpenerFailsClosedWhileFirstIsLive) {
+  // Two live stores on one directory would interleave appends in the same
+  // shard logs; the directory lock makes every second opener throw.
+  const std::string dir = fresh_dir("second_opener");
+  std::vector<std::vector<uint8_t>> contents = {payload(50, 32), payload(51, 8),
+                                                payload(52, 90)};
+  std::vector<PersistentDedupStore::Id> ids;
+  service::ServiceOptions one_worker;
+  one_worker.threads = 1;
+  {
+    PersistentDedupStore first(dir);
+    ids.push_back(first.intern(contents[0]).id);
+    try {
+      PersistentDedupStore second(dir);
+      ADD_FAILURE() << "second store opened a live store directory";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("already open"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(ExtractionService(dir, one_worker), std::runtime_error);
+
+    // The failed openers left the first instance fully working.
+    for (size_t i = 1; i < contents.size(); ++i) {
+      ids.push_back(first.intern(contents[i]).id);
+    }
+    EXPECT_EQ(first.stats().entries, contents.size());
+  }
+
+  {
+    PersistentDedupStore reopened(dir);
+    EXPECT_EQ(reopened.open_stats().restored_entries, contents.size());
+    EXPECT_EQ(reopened.open_stats().truncated_bytes, 0u);
+    for (size_t i = 0; i < contents.size(); ++i) {
+      const std::vector<uint8_t>* stored = reopened.lookup(ids[i]);
+      ASSERT_NE(stored, nullptr) << i;
+      EXPECT_EQ(*stored, contents[i]) << i;
+    }
+  }
+
+  // Sequential open/close/open, the restart-loop pattern, still succeeds.
+  for (int k = 0; k < 3; ++k) {
+    ExtractionService service(dir, one_worker);
+    EXPECT_EQ(service.store().stats().entries, contents.size()) << k;
+  }
+  PersistentDedupStore again(dir);
+  EXPECT_EQ(again.stats().entries, contents.size());
 }
 
 // --- concurrency (also under TSan via ci.sh) --------------------------------
