@@ -37,17 +37,12 @@ CollectionOutput DexLego::collect(const dex::Apk& apk,
   return collector.take_output();
 }
 
-RevealResult DexLego::reveal(const dex::Apk& apk) {
-  CollectionFiles files = encode_collection(collect(apk, options_));
-  return reassemble_files(files, apk, options_.reassemble);
-}
+namespace {
 
-RevealResult DexLego::reassemble_files(const CollectionFiles& files,
-                                       const dex::Apk& original,
-                                       const ReassembleOptions& options) {
-  RevealResult result;
-  result.files = files;
-  result.collection = decode_collection(files);
+// The offline tail both entry points share: reassembles `result.collection`,
+// verifies the DEX and splices it into a copy of `original`.
+void reassemble_into(RevealResult& result, const dex::Apk& original,
+                     const ReassembleOptions& options) {
   ReassembleResult ra = reassemble(result.collection, options);
   result.stats = ra.stats;
 
@@ -66,6 +61,25 @@ RevealResult DexLego::reassemble_files(const CollectionFiles& files,
   result.revealed_apk = original;
   dex::strip_real_classes(result.revealed_apk);
   result.revealed_apk.set_classes(dex::write_dex(ra.file));
+}
+
+}  // namespace
+
+RevealResult DexLego::reveal(const dex::Apk& apk) {
+  RevealResult result;
+  result.collection = collect(apk, options_);
+  result.files = encode_collection(result.collection);
+  reassemble_into(result, apk, options_.reassemble);
+  return result;
+}
+
+RevealResult DexLego::reassemble_files(const CollectionFiles& files,
+                                       const dex::Apk& original,
+                                       const ReassembleOptions& options) {
+  RevealResult result;
+  result.files = files;
+  result.collection = decode_collection(files);
+  reassemble_into(result, original, options);
   return result;
 }
 

@@ -1,8 +1,14 @@
 // DexLego end-to-end pipeline (paper Fig. 1): execute the target APK inside
 // the instrumented runtime (just-in-time collection), optionally under a
 // caller-provided driver (fuzzer, force execution, simple launch), then
-// reassemble the collection files into a new DEX and splice it back into the
+// reassemble the collection into a new DEX and splice it back into the
 // original APK. The revealed APK is what gets handed to static analysis.
+//
+// In process, reveal() encodes the collection once into the five collection
+// files (their sizes are Table VI's metric) and reassembles straight from the
+// in-memory collection. reassemble_files() is the paper's offline phase:
+// it decodes the files and runs the same reassemble/verify/write tail, and
+// the tests hold it as the oracle of the in-memory path.
 #pragma once
 
 #include <functional>
@@ -33,7 +39,7 @@ struct RevealResult {
   dex::Apk revealed_apk;          // original APK with the DEX replaced
   CollectionFiles files;          // the five collection files (Table VI sizes)
   ReassembleStats stats;
-  CollectionOutput collection;    // decoded form, for inspection
+  CollectionOutput collection;    // what was reassembled, for inspection
   bool verified = false;          // reassembled DEX passed the full verifier
   std::string verify_errors;
 };
@@ -42,20 +48,22 @@ class DexLego {
  public:
   explicit DexLego(DexLegoOptions options = {}) : options_(std::move(options)) {}
 
-  // Runs collection + reassembling on the APK. The collection phase is
-  // online (instrumented execution); reassembling is offline (works only on
-  // the collection files, mirroring the paper's split).
+  // Runs collection + reassembling on the APK: collect(), encode the
+  // collection into `files`, then reassemble, verify and write from the
+  // in-memory collection. The result equals
+  // reassemble_files(encode_collection(collect(apk)), apk) byte for byte.
   RevealResult reveal(const dex::Apk& apk);
 
   // Online half only: `options.runs` driver executions against fresh
   // runtimes with a collector attached, returning the raw collection.
-  // reveal() is collect + encode + reassemble_files; the batch pipeline
-  // calls this directly for its per-plan-unit collection runs.
+  // The batch pipeline calls this directly for its per-plan-unit collection
+  // runs.
   static CollectionOutput collect(const dex::Apk& apk,
                                   const DexLegoOptions& options);
 
   // Offline half only: collection files -> revealed APK (manifest and assets
-  // copied from `original`).
+  // copied from `original`). Works only on the files, mirroring the paper's
+  // online/offline split; the force path's file round trip uses it.
   static RevealResult reassemble_files(const CollectionFiles& files,
                                        const dex::Apk& original,
                                        const ReassembleOptions& options = {});

@@ -16,8 +16,8 @@ void ForcePlan::set(const std::string& method_key, uint32_t pc, bool outcome) {
   outcomes_[{method_key, pc}] = outcome;
 }
 
-const bool* ForcePlan::find(const std::string& method_key, uint32_t pc) const {
-  auto it = outcomes_.find({method_key, pc});
+const bool* ForcePlan::find(std::string_view method_key, uint32_t pc) const {
+  auto it = outcomes_.find(std::pair<std::string_view, uint32_t>(method_key, pc));
   return it == outcomes_.end() ? nullptr : &it->second;
 }
 
@@ -64,9 +64,16 @@ std::optional<ForcePlan> ForcePlan::try_deserialize(
   }
 }
 
+void ForceHooks::on_dex_loaded(const rt::DexImage& image) {
+  (void)image;
+  keys_.clear();
+}
+
 bool ForceHooks::force_branch(rt::RtMethod& method, uint32_t dex_pc,
                               bool* outcome) {
-  const bool* planned = plan_.find(CoverageTracker::method_key(method), dex_pc);
+  const std::string& key =
+      keys_.get(method, [&] { return CoverageTracker::method_key(method); });
+  const bool* planned = plan_.find(key, dex_pc);
   if (planned == nullptr) return false;
   *outcome = *planned;
   ++forced_;
@@ -213,9 +220,7 @@ ForceResult single_plan_force_execute(const dex::Apk& apk,
     ForcePlan plan;
     size_t targeted = 0;
     for (const auto& [key, code] : code_of) {
-      const auto* branch_map = result.coverage.branches(key);
-      if (branch_map == nullptr) continue;
-      for (const auto& [pc, seen] : *branch_map) {
+      for (const auto& [pc, seen] : result.coverage.branches(key)) {
         if (seen.taken && seen.untaken) continue;
         bool want = !seen.taken;  // the unseen side
         auto attempt = std::make_tuple(key, pc, want);

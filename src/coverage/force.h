@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/coverage/fuzzer.h"
@@ -39,7 +40,7 @@ namespace dexlego::coverage {
 class ForcePlan {
  public:
   void set(const std::string& method_key, uint32_t pc, bool outcome);
-  const bool* find(const std::string& method_key, uint32_t pc) const;
+  const bool* find(std::string_view method_key, uint32_t pc) const;
   size_t size() const { return outcomes_.size(); }
   bool empty() const { return outcomes_.empty(); }
 
@@ -58,7 +59,16 @@ class ForcePlan {
   bool operator==(const ForcePlan&) const = default;
 
  private:
-  std::map<std::pair<std::string, uint32_t>, bool> outcomes_;
+  // Orders (key, pc) like std::pair and lets find() probe with a string_view.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return std::pair<std::string_view, uint32_t>(a.first, a.second) <
+             std::pair<std::string_view, uint32_t>(b.first, b.second);
+    }
+  };
+  std::map<std::pair<std::string, uint32_t>, bool, KeyLess> outcomes_;
 };
 
 // Runtime hooks applying a ForcePlan: overrides the planned branches and
@@ -69,10 +79,14 @@ class ForceHooks : public rt::RuntimeHooks {
       : plan_(plan), tolerate_cap_(tolerate_cap) {}
 
   uint32_t subscribed_events() const override {
-    return rt::hook_mask(rt::HookEvent::kForceBranch) |
+    return rt::hook_mask(rt::HookEvent::kDexLoaded) |
+           rt::hook_mask(rt::HookEvent::kForceBranch) |
            rt::hook_mask(rt::HookEvent::kTolerateException);
   }
 
+  // Clears the per-method key memo: a new image means a new runtime or new
+  // classes, and RtMethod addresses may be reused.
+  void on_dex_loaded(const rt::DexImage& image) override;
   bool force_branch(rt::RtMethod& method, uint32_t dex_pc, bool* outcome) override;
   bool tolerate_exception(rt::RtMethod& method, uint32_t dex_pc) override;
 
@@ -81,6 +95,8 @@ class ForceHooks : public rt::RuntimeHooks {
 
  private:
   const ForcePlan& plan_;
+  // CoverageTracker::method_key per runtime method, built once per method.
+  RtMethodMemo<std::string> keys_;
   size_t tolerate_cap_;
   size_t forced_ = 0;
   size_t tolerated_ = 0;

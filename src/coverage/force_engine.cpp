@@ -22,8 +22,8 @@ void ForceEngine::observe(const PlanUnit& unit,
   // order makes the winner — and so the whole frontier — schedule-
   // independent.
   std::shared_ptr<const Prefix> prefix;
-  for (const auto& [key, sites] : run_coverage.branch_sites()) {
-    for (const auto& [pc, seen] : sites) {
+  for (const auto& [key, method] : run_coverage.methods()) {
+    for (const auto& [pc, seen] : method.branches()) {
       (void)seen;
       if (!prefix) {
         prefix = std::make_shared<const Prefix>(Prefix{unit.plan, unit.depth});
@@ -41,9 +41,7 @@ std::vector<PlanUnit> ForceEngine::next_wave() {
   // methods ascend (code_of_ is an ordered map), pcs ascend, untaken side
   // before taken. Both uncovered sides of a branch become separate targets.
   for (const auto& [key, code] : code_of_) {
-    const auto* branch_map = accumulated_.branches(key);
-    if (branch_map == nullptr) continue;
-    for (const auto& [pc, seen] : *branch_map) {
+    for (const auto& [pc, seen] : accumulated_.branches(key)) {
       for (bool want : {false, true}) {
         bool covered = want ? seen.taken : seen.untaken;
         if (covered) continue;

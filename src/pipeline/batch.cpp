@@ -30,6 +30,7 @@ JobResult run_one(const BatchJob& job, DedupStore& store, bool keep_dex) {
   double cpu_start = support::thread_cpu_ms();
   try {
     coverage::CoverageTracker tracker;
+    coverage::CoverageTracker::Report coverage;
     size_t leaks = 0;
 
     core::DexLegoOptions options = job.reveal;
@@ -47,6 +48,17 @@ JobResult run_one(const BatchJob& job, DedupStore& store, bool keep_dex) {
         core::default_driver(runtime, run_index);
       }
       leaks += runtime.leaks().size();
+      // Coverage of the *original* image, scored once every run has been
+      // recorded, against the image this runtime parsed from the APK: the
+      // APK is parsed and checksummed once per run, never again for
+      // coverage. Meaningless for packed inputs whose classes are the shell
+      // stub; a job with no run (or a report that throws) leaves 0.
+      if (run_index + 1 == options.runs && runtime.app_image() != nullptr) {
+        try {
+          coverage = tracker.report(runtime.app_image()->file);
+        } catch (const std::exception&) {
+        }
+      }
     };
 
     core::DexLego dexlego(options);
@@ -60,22 +72,14 @@ JobResult run_one(const BatchJob& job, DedupStore& store, bool keep_dex) {
 
     result.verified = reveal.verified;
     result.leaks_observed = leaks;
+    result.instruction_coverage = coverage.instruction_pct();
+    result.branch_coverage = coverage.branch_pct();
     result.reassemble = reveal.stats;
     result.collection_bytes = reveal.files.total_size();
 
     const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
     result.dex_fingerprint = support::fnv1a(dex_bytes);
     if (keep_dex) result.dex = dex_bytes;
-
-    // Coverage of the *original* image. Meaningless for packed inputs whose
-    // classes.ldex is the shell stub, so a parse failure just leaves 0.
-    try {
-      dex::DexFile original = dex::load_classes(job.apk);
-      coverage::CoverageTracker::Report report = tracker.report(original);
-      result.instruction_coverage = report.instruction_pct();
-      result.branch_coverage = report.branch_pct();
-    } catch (const std::exception&) {
-    }
 
     result.ok = true;
   } catch (const std::exception& e) {
@@ -149,6 +153,10 @@ struct AppState {
   JobResult result;
   bool classic = true;  // no force: single unit through run_one
 
+  // Parsed once for the engine's code and the coverage report. Held by
+  // pointer: every job of a batch has an AppState, and only force apps
+  // fill it.
+  std::unique_ptr<const dex::DexFile> original;
   std::unique_ptr<coverage::ForceEngine> engine;
   std::vector<coverage::PlanUnit> wave_units;
   std::vector<UnitOutput> wave_outputs;
@@ -188,9 +196,8 @@ void finalize_force_app(AppState& app, DedupStore& store, bool keep_dex) {
     if (keep_dex) result.dex = dex_bytes;
 
     try {
-      dex::DexFile original = dex::load_classes(app.job->apk);
       coverage::CoverageTracker::Report report =
-          app.engine->coverage().report(original);
+          app.engine->coverage().report(*app.original);
       result.instruction_coverage = report.instruction_pct();
       result.branch_coverage = report.branch_pct();
     } catch (const std::exception&) {
@@ -215,8 +222,10 @@ void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
   bool baseline_wave = app.waves_folded == 0;
   if (baseline_wave && app.engine == nullptr) {
     try {
+      app.original =
+          std::make_unique<const dex::DexFile>(dex::load_classes(app.job->apk));
       app.engine = std::make_unique<coverage::ForceEngine>(
-          dex::load_classes(app.job->apk), app.job->force_options);
+          *app.original, app.job->force_options);
     } catch (const std::exception& e) {
       app.failed = true;
       app.result.error = std::string("force engine: ") + e.what();

@@ -1,8 +1,8 @@
 // Runtime — the modified-Android-Runtime facade. Owns the heap, class
-// linker and interpreter; hosts the native-method and framework-builtin
-// registries, the app services (activity lifecycle, UI event routing,
-// intents, virtual files) and the sink/leak log consumed by the dynamic
-// taint presets.
+// linker and interpreter; hosts the per-runtime native-method registry, the
+// lookup into the process-wide framework builtins, the app services
+// (activity lifecycle, UI event routing, intents, virtual files) and the
+// sink/leak log consumed by the dynamic taint presets.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dex/archive.h"
@@ -74,14 +75,18 @@ class Runtime {
   // --- native methods (JNI analog) & framework builtins ---
   void register_native(std::string full_name, NativeFn fn);
   const NativeFn* find_native(const std::string& full_name) const;
-  // Builtin keys: "Lclass;-><method>" exact or "*-><method>" fallback.
-  void register_builtin(std::string key, NativeFn fn);
-  const NativeFn* find_builtin(const std::string& class_descriptor,
-                               const std::string& name) const;
+  // The framework builtin library (src/runtime/builtins.cpp): one immutable
+  // table per process, shared by every runtime. Looks up the exact
+  // (class, method) pair, then the any-class ("*", method) fallback.
+  static const NativeFn* find_builtin(std::string_view class_descriptor,
+                                      std::string_view name);
 
   // --- app installation & lifecycle ---
   void install(dex::Apk apk);
   const dex::Apk* apk() const { return apk_ ? &*apk_ : nullptr; }
+  // The image install() parsed from the APK's classes (null before install).
+  // It stays as parsed: self-modifying code patches the RtMethod copies.
+  const DexImage* app_image() const { return app_image_; }
   // Launches the manifest entry activity: <init>, onCreate, onStart, onResume.
   ExecOutcome launch();
   Object* activity() const { return activity_; }
@@ -132,8 +137,8 @@ class Runtime {
   Interpreter interp_;
   HookChain chain_;
   std::map<std::string, NativeFn> natives_;
-  std::map<std::string, NativeFn> builtins_;
   std::optional<dex::Apk> apk_;
+  const DexImage* app_image_ = nullptr;
   Object* activity_ = nullptr;
   Object* current_intent_ = nullptr;
   std::map<int, Object*> ui_views_;
@@ -142,11 +147,6 @@ class Runtime {
   std::map<std::string, std::string> files_;
   std::vector<SinkEvent> sink_events_;
 };
-
-// Registers the framework builtin library (strings, reflection, UI,
-// intents, sources/sinks, crypto, dynamic loading). Called by the Runtime
-// constructor; exposed for tests that build bare runtimes.
-void install_framework_builtins(Runtime& rt);
 
 // Renders a value for sink logs and diagnostics.
 std::string render_value(const Value& v);

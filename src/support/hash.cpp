@@ -1,13 +1,25 @@
 #include "src/support/hash.h"
 
+#include <algorithm>
+
 namespace dexlego::support {
 
 uint32_t adler32(std::span<const uint8_t> data) {
   constexpr uint32_t kMod = 65521;
+  // zlib's deferred modulo: 5552 is the largest n for which
+  // 255n(n+1)/2 + (n+1)(kMod-1) fits in 32 bits, so both sums can run that
+  // many bytes unreduced even when every byte is 0xFF.
+  constexpr size_t kNMax = 5552;
   uint32_t a = 1, b = 0;
-  for (uint8_t byte : data) {
-    a = (a + byte) % kMod;
-    b = (b + a) % kMod;
+  size_t i = 0;
+  while (i < data.size()) {
+    size_t end = i + std::min(kNMax, data.size() - i);
+    for (; i < end; ++i) {
+      a += data[i];
+      b += a;
+    }
+    a %= kMod;
+    b %= kMod;
   }
   return (b << 16) | a;
 }

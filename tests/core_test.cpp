@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/bytecode/assembler.h"
 #include "src/bytecode/disasm.h"
 #include "src/bytecode/verify_code.h"
@@ -9,6 +13,7 @@
 #include "src/core/reassembler.h"
 #include "src/dex/builder.h"
 #include "src/dex/io.h"
+#include "src/pipeline/scenarios.h"
 #include "src/runtime/runtime.h"
 
 namespace dexlego::core {
@@ -669,6 +674,70 @@ TEST(DexLego, ExecutedCatchHandlerPreserved) {
   auto runtime = run_revealed(result.revealed_apk);
   ASSERT_EQ(runtime->sink_events().size(), 1u);
   EXPECT_EQ(runtime->sink_events()[0].detail, "caught");
+}
+
+// reveal() reassembles from the in-memory collection; the paper's offline
+// phase (encode the five files, decode them, reassemble) must give the same
+// revealed dex, verdict, Table VI size and trees on every scenario.
+TEST(RevealOracle, InMemoryRevealMatchesOfflineReassembly) {
+  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
+  auto append = [&jobs](std::vector<pipeline::BatchJob> more) {
+    for (pipeline::BatchJob& job : more) jobs.push_back(std::move(job));
+  };
+  append(pipeline::large_corpus_jobs(600));
+  append(pipeline::packed_jobs());
+  append(pipeline::fuzz_jobs(120));
+  append(pipeline::guarded_jobs(10));
+  append(pipeline::realdex_jobs(20));
+
+  size_t checked = 0;
+  for (const pipeline::BatchJob& job : jobs) {
+    SCOPED_TRACE(job.name);
+    DexLegoOptions options = job.reveal;
+    auto base_configure = options.configure_runtime;
+    options.configure_runtime = [&job, base_configure](rt::Runtime& runtime) {
+      if (base_configure) base_configure(runtime);
+      if (job.configure_runtime) job.configure_runtime(runtime);
+    };
+
+    std::optional<RevealResult> online, offline;
+    std::string online_error, offline_error;
+    try {
+      online = DexLego(options).reveal(job.apk);
+    } catch (const std::exception& e) {
+      online_error = e.what();
+    }
+    try {
+      CollectionFiles files =
+          encode_collection(DexLego::collect(job.apk, options));
+      offline = DexLego::reassemble_files(files, job.apk, options.reassemble);
+    } catch (const std::exception& e) {
+      offline_error = e.what();
+    }
+    ASSERT_EQ(online.has_value(), offline.has_value());
+    if (!online) {
+      EXPECT_EQ(online_error, offline_error);
+      continue;
+    }
+    EXPECT_EQ(online->revealed_apk.classes(), offline->revealed_apk.classes());
+    EXPECT_EQ(online->verified, offline->verified);
+    EXPECT_EQ(online->files.total_size(), offline->files.total_size());
+    const auto& a = online->collection.methods;
+    const auto& b = offline->collection.methods;
+    ASSERT_EQ(a.size(), b.size());
+    for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+      ASSERT_EQ(ia->first, ib->first);
+      ASSERT_EQ(ia->second.trees.size(), ib->second.trees.size())
+          << ia->first.pretty();
+      for (size_t t = 0; t < ia->second.trees.size(); ++t) {
+        EXPECT_EQ(serialize_tree(*ia->second.trees[t]),
+                  serialize_tree(*ib->second.trees[t]))
+            << ia->first.pretty() << " tree " << t;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, jobs.size() * 9 / 10);
 }
 
 }  // namespace

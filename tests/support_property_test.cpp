@@ -275,6 +275,30 @@ TEST(HashStability, Adler32PinnedVectors) {
   EXPECT_EQ(adler32(std::span(ramp).subspan(1)), 0xbbb98772u);
 }
 
+// adler32 reduces its sums once per 5552-byte block; the per-byte reference
+// reduces after every byte. Every prefix length up to three blocks and a tail
+// must agree, on all-0xFF input (the largest unreduced sums) and on random
+// input. The reference state after n bytes is the digest of the n-prefix.
+TEST(HashStability, Adler32DeferredModuloMatchesPerByteReference) {
+  constexpr size_t kNMax = 5552;
+  constexpr size_t kMaxLen = 3 * kNMax + 17;
+  std::vector<uint8_t> ones(kMaxLen, 0xFF);
+  std::vector<uint8_t> random(kMaxLen);
+  Rng rng(5552);
+  for (uint8_t& byte : random) byte = static_cast<uint8_t>(rng.next());
+  for (const std::vector<uint8_t>* buffer : {&ones, &random}) {
+    uint32_t a = 1, b = 0;
+    for (size_t n = 0; n <= kMaxLen; ++n) {
+      ASSERT_EQ(adler32(std::span<const uint8_t>(*buffer).first(n)),
+                (b << 16) | a)
+          << "length " << n << (buffer == &ones ? " (0xFF)" : " (random)");
+      if (n == kMaxLen) break;
+      a = (a + (*buffer)[n]) % 65521;
+      b = (b + a) % 65521;
+    }
+  }
+}
+
 TEST(HashStability, Sha1PinnedVectors) {
   // FIPS 180-1 test vectors; the real-DEX header signature depends on these.
   auto hex = [](const std::array<uint8_t, 20>& digest) {
