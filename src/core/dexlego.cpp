@@ -37,12 +37,11 @@ CollectionOutput DexLego::collect(const dex::Apk& apk,
   return collector.take_output();
 }
 
-namespace {
-
-// The offline tail both entry points share: reassembles `result.collection`,
-// verifies the DEX and splices it into a copy of `original`.
-void reassemble_into(RevealResult& result, const dex::Apk& original,
-                     const ReassembleOptions& options) {
+RevealResult DexLego::reassemble_collection(CollectionOutput collection,
+                                            const dex::Apk& original,
+                                            const ReassembleOptions& options) {
+  RevealResult result;
+  result.collection = std::move(collection);
   ReassembleResult ra = reassemble(result.collection, options);
   result.stats = ra.stats;
 
@@ -61,25 +60,24 @@ void reassemble_into(RevealResult& result, const dex::Apk& original,
   result.revealed_apk = original;
   dex::strip_real_classes(result.revealed_apk);
   result.revealed_apk.set_classes(dex::write_dex(ra.file));
+  return result;
 }
 
-}  // namespace
-
 RevealResult DexLego::reveal(const dex::Apk& apk) {
-  RevealResult result;
-  result.collection = collect(apk, options_);
-  result.files = encode_collection(result.collection);
-  reassemble_into(result, apk, options_.reassemble);
+  CollectionOutput collection = collect(apk, options_);
+  CollectionFiles files = encode_collection(collection);
+  RevealResult result =
+      reassemble_collection(std::move(collection), apk, options_.reassemble);
+  result.files = std::move(files);
   return result;
 }
 
 RevealResult DexLego::reassemble_files(const CollectionFiles& files,
                                        const dex::Apk& original,
                                        const ReassembleOptions& options) {
-  RevealResult result;
+  RevealResult result =
+      reassemble_collection(decode_collection(files), original, options);
   result.files = files;
-  result.collection = decode_collection(files);
-  reassemble_into(result, original, options);
   return result;
 }
 

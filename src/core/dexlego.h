@@ -4,11 +4,14 @@
 // reassemble the collection into a new DEX and splice it back into the
 // original APK. The revealed APK is what gets handed to static analysis.
 //
-// In process, reveal() encodes the collection once into the five collection
-// files (their sizes are Table VI's metric) and reassembles straight from the
-// in-memory collection. reassemble_files() is the paper's offline phase:
-// it decodes the files and runs the same reassemble/verify/write tail, and
-// the tests hold it as the oracle of the in-memory path.
+// In process, reveal() is collect() followed by reassemble_collection(): it
+// encodes the collection once into the five collection files (their sizes
+// are Table VI's metric) and reassembles straight from the in-memory
+// collection. The batch pipeline calls the same two halves per job, with a
+// merged collection in between for force execution. reassemble_files() is
+// the paper's offline phase: it decodes the files and runs the same
+// reassemble/verify/write tail, and the tests hold it as the oracle of the
+// in-memory path.
 #pragma once
 
 #include <functional>
@@ -49,8 +52,7 @@ class DexLego {
   explicit DexLego(DexLegoOptions options = {}) : options_(std::move(options)) {}
 
   // Runs collection + reassembling on the APK: collect(), encode the
-  // collection into `files`, then reassemble, verify and write from the
-  // in-memory collection. The result equals
+  // collection into `files`, then reassemble_collection(). The result equals
   // reassemble_files(encode_collection(collect(apk)), apk) byte for byte.
   RevealResult reveal(const dex::Apk& apk);
 
@@ -61,9 +63,15 @@ class DexLego {
   static CollectionOutput collect(const dex::Apk& apk,
                                   const DexLegoOptions& options);
 
-  // Offline half only: collection files -> revealed APK (manifest and assets
-  // copied from `original`). Works only on the files, mirroring the paper's
-  // online/offline split; the force path's file round trip uses it.
+  // Offline half from memory: reassembles `collection`, verifies the DEX and
+  // splices it into a copy of `original` (manifest and assets kept). The
+  // collection moves into the result; `files` is left empty.
+  static RevealResult reassemble_collection(
+      CollectionOutput collection, const dex::Apk& original,
+      const ReassembleOptions& options = {});
+
+  // Offline half from the files: decodes them, then reassemble_collection().
+  // Works only on the files, mirroring the paper's online/offline split.
   static RevealResult reassemble_files(const CollectionFiles& files,
                                        const dex::Apk& original,
                                        const ReassembleOptions& options = {});

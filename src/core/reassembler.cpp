@@ -31,12 +31,11 @@ std::string sanitize(const std::string& s) {
 class TreeEmitter {
  public:
   TreeEmitter(dex::DexBuilder& builder, const MethodRecord& rec,
-              const TreeNode& root, const ReassembleOptions& options,
-              ReassembleStats& stats, size_t guard_field_base)
+              const TreeNode& root, ReassembleStats& stats,
+              size_t guard_field_base)
       : builder_(builder),
         rec_(rec),
         root_(root),
-        options_(options),
         stats_(stats),
         guard_field_base_(guard_field_base) {}
 
@@ -71,7 +70,6 @@ class TreeEmitter {
   dex::DexBuilder& builder_;
   const MethodRecord& rec_;
   const TreeNode& root_;
-  const ReassembleOptions& options_;
   ReassembleStats& stats_;
   size_t guard_field_base_;
   size_t guards_used_ = 0;
@@ -217,7 +215,7 @@ void TreeEmitter::emit_insn_units(const Item& item, std::vector<uint16_t>& out) 
   Insn insn = bc::decode_at(entry.units, 0);
 
   // Reflective call sites recorded at this pc become direct calls.
-  if (options_.replace_reflection && bc::is_invoke(insn.op)) {
+  if (bc::is_invoke(insn.op)) {
     auto rit = rec_.reflection_targets.find(entry.pc);
     if (rit != rec_.reflection_targets.end() && insn.a >= 1) {
       const SymRef& target = rit->second;
@@ -423,45 +421,43 @@ dex::CodeItem TreeEmitter::emit() {
   out.ins_size = rec_.ins_size;
   out.insns = std::move(code);
 
-  if (options_.keep_debug_info) {
-    // Lines: map each emitted root-context instruction to its original line.
-    auto line_of = [&](uint16_t pc) -> uint32_t {
-      uint32_t line = 0;
-      for (const dex::LineEntry& e : rec_.lines) {
-        if (e.pc <= pc) line = e.line;
-      }
-      return line;
-    };
-    uint32_t last = 0;
+  // Lines: map each emitted root-context instruction to its original line.
+  auto line_of = [&](uint16_t pc) -> uint32_t {
+    uint32_t line = 0;
+    for (const dex::LineEntry& e : rec_.lines) {
+      if (e.pc <= pc) line = e.line;
+    }
+    return line;
+  };
+  uint32_t last = 0;
+  for (const Item& item : items_) {
+    if (item.kind != Item::Kind::kInsn) continue;
+    uint32_t line = line_of(item.node->il[item.il_index].pc);
+    if (line != 0 && line != last) {
+      out.lines.push_back({static_cast<uint16_t>(item.offset), line});
+      last = line;
+    }
+  }
+  // Tries: cover the emitted span of each original range when its handler
+  // was executed; never-executed handlers vanish with the dead code.
+  for (const dex::TryItem& t : rec_.tries) {
+    size_t handler = find_in(&root_, t.handler_pc);
+    if (handler == SIZE_MAX) continue;
+    size_t lo = SIZE_MAX, hi = 0;
     for (const Item& item : items_) {
-      if (item.kind != Item::Kind::kInsn) continue;
-      uint32_t line = line_of(item.node->il[item.il_index].pc);
-      if (line != 0 && line != last) {
-        out.lines.push_back({static_cast<uint16_t>(item.offset), line});
-        last = line;
+      if (item.kind != Item::Kind::kInsn || item.node != &root_) continue;
+      uint16_t pc = item.node->il[item.il_index].pc;
+      if (pc >= t.start_pc && pc < t.end_pc) {
+        lo = std::min(lo, item.offset);
+        hi = std::max(hi, item.offset + item.width);
       }
     }
-    // Tries: cover the emitted span of each original range when its handler
-    // was executed; never-executed handlers vanish with the dead code.
-    for (const dex::TryItem& t : rec_.tries) {
-      size_t handler = find_in(&root_, t.handler_pc);
-      if (handler == SIZE_MAX) continue;
-      size_t lo = SIZE_MAX, hi = 0;
-      for (const Item& item : items_) {
-        if (item.kind != Item::Kind::kInsn || item.node != &root_) continue;
-        uint16_t pc = item.node->il[item.il_index].pc;
-        if (pc >= t.start_pc && pc < t.end_pc) {
-          lo = std::min(lo, item.offset);
-          hi = std::max(hi, item.offset + item.width);
-        }
-      }
-      if (lo < hi && lo != SIZE_MAX) {
-        dex::TryItem nt;
-        nt.start_pc = static_cast<uint16_t>(lo);
-        nt.end_pc = static_cast<uint16_t>(hi);
-        nt.handler_pc = static_cast<uint16_t>(items_[handler].offset);
-        out.tries.push_back(nt);
-      }
+    if (lo < hi && lo != SIZE_MAX) {
+      dex::TryItem nt;
+      nt.start_pc = static_cast<uint16_t>(lo);
+      nt.end_pc = static_cast<uint16_t>(hi);
+      nt.handler_pc = static_cast<uint16_t>(items_[handler].offset);
+      out.tries.push_back(nt);
     }
   }
   stats_.output_code_units += out.insns.size();
@@ -547,7 +543,7 @@ dex::EncodedValue encode_static_value(dex::DexBuilder& builder,
 }  // namespace
 
 ReassembleResult reassemble(const CollectionOutput& input,
-                            const ReassembleOptions& options) {
+                            const ReassembleOptions& /*options*/) {
   ReassembleResult result;
   dex::DexBuilder builder;
   ReassembleStats& stats = result.stats;
@@ -631,7 +627,7 @@ ReassembleResult reassemble(const CollectionOutput& input,
       // Emit one body per unique tree.
       std::vector<dex::CodeItem> bodies;
       for (const auto& tree : rec->trees) {
-        TreeEmitter emitter(builder, *rec, *tree, options, stats, guard_counter);
+        TreeEmitter emitter(builder, *rec, *tree, stats, guard_counter);
         bodies.push_back(emitter.emit());
         guard_counter += emitter.guards_used();
       }

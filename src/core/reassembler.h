@@ -25,11 +25,10 @@
 
 namespace dexlego::core {
 
-struct ReassembleOptions {
-  bool replace_reflection = true;
-  // Lines/tries are remapped onto the new layout when true.
-  bool keep_debug_info = true;
-};
+// No settings: recorded reflective calls always become direct invokes, and
+// lines and try ranges are always remapped onto the new layout. The type
+// stays so callers that pass DexLegoOptions::reassemble keep compiling.
+struct ReassembleOptions {};
 
 struct ReassembleStats {
   size_t classes = 0;

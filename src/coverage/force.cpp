@@ -82,7 +82,7 @@ bool ForceHooks::force_branch(rt::RtMethod& method, uint32_t dex_pc,
 
 bool ForceHooks::tolerate_exception(rt::RtMethod& method, uint32_t dex_pc) {
   (void)method, (void)dex_pc;
-  if (tolerated_ >= tolerate_cap_) return false;
+  if (tolerated_ >= kTolerateCap) return false;
   ++tolerated_;
   return true;
 }

@@ -72,11 +72,13 @@ class ForcePlan {
 };
 
 // Runtime hooks applying a ForcePlan: overrides the planned branches and
-// clears unhandled exceptions (bounded per run to avoid pathological loops).
+// clears unhandled exceptions (at most kTolerateCap per run, to avoid
+// pathological loops).
 class ForceHooks : public rt::RuntimeHooks {
  public:
-  explicit ForceHooks(const ForcePlan& plan, size_t tolerate_cap = 4096)
-      : plan_(plan), tolerate_cap_(tolerate_cap) {}
+  static constexpr size_t kTolerateCap = 4096;
+
+  explicit ForceHooks(const ForcePlan& plan) : plan_(plan) {}
 
   uint32_t subscribed_events() const override {
     return rt::hook_mask(rt::HookEvent::kDexLoaded) |
@@ -91,13 +93,11 @@ class ForceHooks : public rt::RuntimeHooks {
   bool tolerate_exception(rt::RtMethod& method, uint32_t dex_pc) override;
 
   size_t forced() const { return forced_; }
-  size_t tolerated() const { return tolerated_; }
 
  private:
   const ForcePlan& plan_;
   // CoverageTracker::method_key per runtime method, built once per method.
   RtMethodMemo<std::string> keys_;
-  size_t tolerate_cap_;
   size_t forced_ = 0;
   size_t tolerated_ = 0;
 };

@@ -18,86 +18,13 @@ namespace dexlego::pipeline {
 
 namespace {
 
-// --- the classic single-unit path (natural execution, whole reveal) -------
-
-JobResult run_one(const BatchJob& job, DedupStore& store, bool keep_dex) {
-  JobResult result;
-  result.name = job.name;
-  result.scenario = job.scenario;
-  result.expect_leak = job.expect_leak;
-
-  support::Stopwatch wall;
-  double cpu_start = support::thread_cpu_ms();
-  try {
-    coverage::CoverageTracker tracker;
-    coverage::CoverageTracker::Report coverage;
-    size_t leaks = 0;
-
-    core::DexLegoOptions options = job.reveal;
-    auto base_configure = options.configure_runtime;
-    options.configure_runtime = [&, base_configure](rt::Runtime& runtime) {
-      if (base_configure) base_configure(runtime);
-      if (job.configure_runtime) job.configure_runtime(runtime);
-      runtime.add_hooks(&tracker);
-    };
-    auto base_driver = options.driver;
-    options.driver = [&](rt::Runtime& runtime, int run_index) {
-      if (base_driver) {
-        base_driver(runtime, run_index);
-      } else {
-        core::default_driver(runtime, run_index);
-      }
-      leaks += runtime.leaks().size();
-      // Coverage of the *original* image, scored once every run has been
-      // recorded, against the image this runtime parsed from the APK: the
-      // APK is parsed and checksummed once per run, never again for
-      // coverage. Meaningless for packed inputs whose classes are the shell
-      // stub; a job with no run (or a report that throws) leaves 0.
-      if (run_index + 1 == options.runs && runtime.app_image() != nullptr) {
-        try {
-          coverage = tracker.report(runtime.app_image()->file);
-        } catch (const std::exception&) {
-        }
-      }
-    };
-
-    core::DexLego dexlego(options);
-    core::RevealResult reveal = dexlego.reveal(job.apk);
-
-    InternedCollection interned = intern_collection(reveal.collection, store);
-    result.dedup_interns = interned.interns;
-    result.unique_trees = interned.unique_trees;
-    result.dedup_hits = interned.hits;
-    result.dedup_misses = interned.misses;
-
-    result.verified = reveal.verified;
-    result.leaks_observed = leaks;
-    result.instruction_coverage = coverage.instruction_pct();
-    result.branch_coverage = coverage.branch_pct();
-    result.reassemble = reveal.stats;
-    result.collection_bytes = reveal.files.total_size();
-
-    const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
-    result.dex_fingerprint = support::fnv1a(dex_bytes);
-    if (keep_dex) result.dex = dex_bytes;
-
-    result.ok = true;
-  } catch (const std::exception& e) {
-    result.error = e.what();
-  } catch (...) {
-    result.error = "unknown exception";
-  }
-  result.wall_ms = wall.elapsed_ms();
-  result.cpu_ms = support::thread_cpu_ms() - cpu_start;
-  return result;
-}
-
-// --- the (app, plan) unit path (force-execution jobs) ---------------------
-
-// Everything one executed plan unit hands back to its app's coordinator.
+// Everything one executed (app, plan) unit hands back to its app's
+// coordinator.
 struct UnitOutput {
   core::CollectionOutput collection;
   coverage::CoverageTracker coverage;
+  // A plain job's coverage of the original image, scored after its last run.
+  coverage::CoverageTracker::Report report;
   size_t leaks = 0;
   size_t forced = 0;
   double cpu_ms = 0.0;
@@ -105,24 +32,25 @@ struct UnitOutput {
   std::string error;
 };
 
-// Executes one (app, plan) unit through the same DexLego collect phase the
-// classic path uses, with a per-unit coverage tracker and — for non-empty
-// plans — the plan's ForceHooks riding along. The baseline unit honors the
-// job's run count; forced units replay the driver once.
+// Executes one (app, plan) unit through DexLego's collect phase, with a
+// per-unit coverage tracker and — for forced units — the plan's ForceHooks
+// riding along. The baseline unit (empty plan) runs the job's run count as
+// given; forced units replay the driver once.
 UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
   UnitOutput out;
   double cpu_start = support::thread_cpu_ms();
   try {
+    const bool forced = !unit.plan.empty();
     coverage::ForceHooks force_hooks(unit.plan);
 
     core::DexLegoOptions options = job.reveal;
-    options.runs = unit.plan.empty() ? std::max(1, options.runs) : 1;
+    if (forced) options.runs = 1;
     auto base_configure = options.configure_runtime;
     options.configure_runtime = [&, base_configure](rt::Runtime& runtime) {
       if (base_configure) base_configure(runtime);
       if (job.configure_runtime) job.configure_runtime(runtime);
       runtime.add_hooks(&out.coverage);
-      if (!unit.plan.empty()) runtime.add_hooks(&force_hooks);
+      if (forced) runtime.add_hooks(&force_hooks);
     };
     auto base_driver = options.driver;
     options.driver = [&](rt::Runtime& runtime, int run_index) {
@@ -132,6 +60,19 @@ UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
         core::default_driver(runtime, run_index);
       }
       out.leaks += runtime.leaks().size();
+      // A plain job's coverage of the *original* image, scored once every
+      // run has been recorded, against the image this runtime parsed from
+      // the APK: the APK is parsed and checksummed once per run, never again
+      // for coverage. Meaningless for packed inputs whose classes are the
+      // shell stub; a job with no run (or a report that throws) leaves 0.
+      // Force jobs score the engine's merged coverage instead.
+      if (!job.force && run_index + 1 == options.runs &&
+          runtime.app_image() != nullptr) {
+        try {
+          out.report = out.coverage.report(runtime.app_image()->file);
+        } catch (const std::exception&) {
+        }
+      }
     };
 
     out.collection = core::DexLego::collect(job.apk, options);
@@ -147,38 +88,60 @@ UnitOutput run_unit(const BatchJob& job, const coverage::PlanUnit& unit) {
 }
 
 // Per-app coordination state. Workers only touch an app's state while the
-// scheduler lock is held or while they own its wave (outstanding hit zero).
+// scheduler lock is held or while they own its wave (outstanding hit zero,
+// or the wave has one unit).
 struct AppState {
-  const BatchJob* job = nullptr;
+  const BatchJob* job = nullptr;  // null until the app's first task starts it
   JobResult result;
-  bool classic = true;  // no force: single unit through run_one
 
-  // Parsed once for the engine's code and the coverage report. Held by
-  // pointer: every job of a batch has an AppState, and only force apps
-  // fill it.
+  // Force jobs only: the original image, parsed once for the engine's code
+  // and the coverage report, and the engine. Held by pointer: every job of
+  // a batch has an AppState.
   std::unique_ptr<const dex::DexFile> original;
   std::unique_ptr<coverage::ForceEngine> engine;
+
+  // The wave in flight: its units and their outputs, slot by slot.
   std::vector<coverage::PlanUnit> wave_units;
   std::vector<UnitOutput> wave_outputs;
-  size_t outstanding = 0;  // units of the current wave still executing
+  size_t outstanding = 0;  // units of a multi-unit wave still executing
 
-  core::CollectionOutput merged;  // plan-order merge of unit collections
+  core::CollectionOutput merged;  // baseline, then forced units in plan order
+  coverage::CoverageTracker::Report coverage;
   size_t leaks = 0;
   size_t forced_branches = 0;
   size_t force_paths = 0;
   int waves_folded = 0;  // waves merged so far (0 = baseline pending)
-  double start_ms = -1.0;
+  double start_ms = 0.0;
   double cpu_ms = 0.0;
   bool failed = false;
 };
 
-// Reassembles and verifies a finished force app from its merged collection.
-void finalize_force_app(AppState& app, DedupStore& store, bool keep_dex) {
+// Readies `app` to run `job`: its first wave is the single baseline unit.
+void start_app(AppState& app, const BatchJob& job) {
+  app.job = &job;
+  app.result.name = job.name;
+  app.result.scenario = job.scenario;
+  app.result.expect_leak = job.expect_leak;
+  app.wave_units.push_back(coverage::PlanUnit{});
+  app.wave_outputs = std::vector<UnitOutput>(1);
+}
+
+// Ends the current wave and frees its buffers, so a finished app holds only
+// its result (clear() would keep the capacity).
+void release_wave(AppState& app) {
+  app.wave_units = std::vector<coverage::PlanUnit>();
+  app.wave_outputs = std::vector<UnitOutput>();
+}
+
+// Finishes a job from its collection: encodes it once for the Table VI size,
+// reassembles, verifies and writes from the in-memory collection, then
+// interns it and fills the result.
+void finalize_app(AppState& app, DedupStore& store, bool keep_dex) {
   JobResult& result = app.result;
   try {
-    core::CollectionFiles files = core::encode_collection(app.merged);
-    core::RevealResult reveal = core::DexLego::reassemble_files(
-        files, app.job->apk, app.job->reveal.reassemble);
+    size_t collection_bytes = core::encode_collection(app.merged).total_size();
+    core::RevealResult reveal = core::DexLego::reassemble_collection(
+        std::move(app.merged), app.job->apk, app.job->reveal.reassemble);
 
     InternedCollection interned = intern_collection(reveal.collection, store);
     result.dedup_interns = interned.interns;
@@ -189,23 +152,23 @@ void finalize_force_app(AppState& app, DedupStore& store, bool keep_dex) {
     result.verified = reveal.verified;
     result.leaks_observed = app.leaks;
     result.reassemble = reveal.stats;
-    result.collection_bytes = reveal.files.total_size();
+    result.collection_bytes = collection_bytes;
 
     const std::vector<uint8_t>& dex_bytes = reveal.revealed_apk.classes();
     result.dex_fingerprint = support::fnv1a(dex_bytes);
     if (keep_dex) result.dex = dex_bytes;
 
-    try {
-      coverage::CoverageTracker::Report report =
-          app.engine->coverage().report(*app.original);
-      result.instruction_coverage = report.instruction_pct();
-      result.branch_coverage = report.branch_pct();
-    } catch (const std::exception&) {
+    if (app.engine != nullptr) {
+      try {
+        app.coverage = app.engine->coverage().report(*app.original);
+      } catch (const std::exception&) {
+      }
+      result.force_waves = app.engine->stats().waves;
     }
-
+    result.instruction_coverage = app.coverage.instruction_pct();
+    result.branch_coverage = app.coverage.branch_pct();
     result.forced_branches = app.forced_branches;
     result.force_paths = app.force_paths;
-    result.force_waves = app.engine->stats().waves;
     result.ok = true;
   } catch (const std::exception& e) {
     result.error = e.what();
@@ -214,13 +177,14 @@ void finalize_force_app(AppState& app, DedupStore& store, bool keep_dex) {
   }
 }
 
-// Wave end: folds the finished wave in plan order, asks the engine for the
-// next frontier, and either fills wave_units for re-dispatch or finalizes.
-// Called with exclusive ownership of the app (outstanding == 0).
-void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
+// Wave end: folds the finished wave in plan order, asks a force job's engine
+// for the next frontier, and either fills wave_units for re-dispatch or
+// finishes the job. A plain job finishes after its baseline wave. Called
+// with exclusive ownership of the app.
+void advance_app(AppState& app, DedupStore& store, bool keep_dex) {
   double cpu_start = support::thread_cpu_ms();
   bool baseline_wave = app.waves_folded == 0;
-  if (baseline_wave && app.engine == nullptr) {
+  if (baseline_wave && app.job->force) {
     try {
       app.original =
           std::make_unique<const dex::DexFile>(dex::load_classes(app.job->apk));
@@ -241,7 +205,7 @@ void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
       app.cpu_ms += out.cpu_ms;
       if (!out.ok) {
         if (baseline_wave) {
-          // No baseline collection: the job fails like a classic job would.
+          // No baseline collection: the job fails.
           app.failed = true;
           app.result.error = out.error;
           break;
@@ -255,31 +219,35 @@ void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
       }
       app.leaks += out.leaks;
       app.forced_branches += out.forced;
-      core::merge_collection(app.merged, std::move(out.collection),
-                             app.job->reveal.collector.max_variants);
-      app.engine->observe(app.wave_units[s], out.coverage);
+      if (baseline_wave) {
+        app.merged = std::move(out.collection);
+        app.coverage = out.report;
+      } else {
+        core::merge_collection(app.merged, std::move(out.collection),
+                               app.job->reveal.collector.max_variants);
+      }
+      if (app.engine != nullptr) {
+        app.engine->observe(app.wave_units[s], out.coverage);
+      }
     }
     if (!baseline_wave) app.force_paths += app.wave_units.size();
     ++app.waves_folded;
 
-    app.wave_units.clear();
-    app.wave_outputs.clear();
-    if (!app.failed) {
+    release_wave(app);
+    if (!app.failed && app.engine != nullptr) {
       app.wave_units = app.engine->next_wave();
     }
   } catch (const std::exception& e) {
     app.failed = true;
     app.result.error = e.what();
-    app.wave_units.clear();
-    app.wave_outputs.clear();
+    release_wave(app);
   } catch (...) {
     // Fail closed: a non-std throw (hostile native code can raise anything)
     // must cost this job, not the worker thread — an escape here would
     // std::terminate the whole fleet.
     app.failed = true;
     app.result.error = "unknown exception (non-std type)";
-    app.wave_units.clear();
-    app.wave_outputs.clear();
+    release_wave(app);
   }
   if (!app.wave_units.empty()) {
     app.wave_outputs = std::vector<UnitOutput>(app.wave_units.size());
@@ -289,7 +257,7 @@ void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
   }
 
   // Converged (or failed): finish the job.
-  if (!app.failed) finalize_force_app(app, store, keep_dex);
+  if (!app.failed) finalize_app(app, store, keep_dex);
   app.cpu_ms += support::thread_cpu_ms() - cpu_start;
   app.result.cpu_ms = app.cpu_ms;
 }
@@ -297,29 +265,19 @@ void advance_force_app(AppState& app, DedupStore& store, bool keep_dex) {
 }  // namespace
 
 JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex) {
-  if (!job.force) return run_one(job, store, keep_dex);
-
-  // Force job, inline: the same baseline + wave machinery run_batch shards
-  // across workers, executed serially on the calling thread. advance_force_app
-  // owns the fold/frontier/finalize logic in both cases, so the output is
-  // byte-identical to the sharded path (tests/service_test.cpp anchors this).
+  // The wave loop run_batch shards across workers, run serially on the
+  // calling thread. advance_app owns the fold/frontier/finish logic in both
+  // cases, so the output is byte-identical to the sharded path
+  // (tests/service_test.cpp anchors this).
   support::Stopwatch wall;
   AppState app;
-  app.job = &job;
-  app.classic = false;
-  app.result.name = job.name;
-  app.result.scenario = job.scenario;
-  app.result.expect_leak = job.expect_leak;
-  app.wave_units.push_back(coverage::PlanUnit{});  // baseline run
-  app.wave_outputs = std::vector<UnitOutput>(1);
-  app.outstanding = 1;
+  start_app(app, job);
   while (!app.wave_units.empty()) {
     for (size_t s = 0; s < app.wave_units.size(); ++s) {
       app.wave_outputs[s] = run_unit(job, app.wave_units[s]);
     }
-    advance_force_app(app, store, keep_dex);
+    advance_app(app, store, keep_dex);
   }
-  app.result.ok = app.result.ok && !app.failed;
   app.result.wall_ms = wall.elapsed_ms();
   return std::move(app.result);
 }
@@ -348,37 +306,25 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
   report.jobs.resize(jobs.size());
   support::Stopwatch wall;
 
-  // Scheduler state: a dynamic queue of (app, wave-slot) tasks. Plain jobs
-  // contribute one task; force jobs re-enqueue a task per plan unit at every
-  // wave end, so one app's exploration spreads across all workers. Workers
-  // claim *chunks* of tasks per lock acquisition (adaptive to queue depth),
-  // so with thousands of small apps the queue mutex leaves the hot path.
+  // Scheduler state: a dynamic queue of (app, wave-slot) tasks. Every job
+  // starts as one baseline task; force jobs re-enqueue a task per plan unit
+  // at every wave end, so one app's exploration spreads across all workers.
+  // Workers claim *chunks* of tasks per lock acquisition (adaptive to queue
+  // depth), so with thousands of small apps the queue mutex leaves the hot
+  // path.
   struct Task {
     size_t app = 0;
     size_t slot = 0;
   };
-  std::mutex mu;  // guards queue and force-wave handoff only
+  std::mutex mu;  // guards queue and multi-unit wave handoff only
   std::condition_variable cv;
   std::deque<Task> queue;
   std::vector<AppState> states(jobs.size());
-  // Completion count is an atomic, not mu-guarded state: classic jobs finish
+  // Completion count is an atomic, not mu-guarded state: plain jobs finish
   // without ever re-taking the queue lock.
   std::atomic<size_t> apps_remaining{jobs.size()};
 
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    AppState& app = states[i];
-    app.job = &jobs[i];
-    app.classic = !jobs[i].force;
-    app.result.name = jobs[i].name;
-    app.result.scenario = jobs[i].scenario;
-    app.result.expect_leak = jobs[i].expect_leak;
-    if (!app.classic) {
-      app.wave_units.push_back(coverage::PlanUnit{});  // baseline run
-      app.wave_outputs = std::vector<UnitOutput>(1);
-      app.outstanding = 1;
-    }
-    queue.push_back(Task{i, 0});
-  }
+  for (size_t i = 0; i < jobs.size(); ++i) queue.push_back(Task{i, 0});
 
   // How many tasks one lock acquisition may claim: share the visible
   // backlog across workers (keeping ~2 refills per worker in reserve so a
@@ -389,11 +335,11 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
     return share < 1 ? size_t{1} : (share > kMaxChunk ? kMaxChunk : share);
   };
 
-  // Decrements the fleet's remaining-app count (batched per chunk for
-  // classic jobs). The worker that takes the count to zero locks and
-  // releases mu before notifying: the empty lock pairs with the mutex a
-  // sleeper holds while evaluating its wait predicate, so the final wakeup
-  // cannot be lost — and the notify itself happens with no lock held.
+  // Decrements the fleet's remaining-app count (batched per chunk). The
+  // worker that takes the count to zero locks and releases mu before
+  // notifying: the empty lock pairs with the mutex a sleeper holds while
+  // evaluating its wait predicate, so the final wakeup cannot be lost — and
+  // the notify itself happens with no lock held.
   auto finish_apps = [&](size_t n) {
     if (apps_remaining.fetch_sub(n, std::memory_order_acq_rel) == n) {
       { std::lock_guard<std::mutex> barrier(mu); }
@@ -432,32 +378,34 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
       local.tasks += chunk.size();
       if (chunk.size() > local.max_chunk) local.max_chunk = chunk.size();
 
-      size_t classic_done = 0;
+      size_t finished = 0;
       for (const Task& task : chunk) {
         AppState& app = states[task.app];
-        // Only the task that starts an app can observe an unset start time:
-        // classic jobs have one task, and a force job's first wave is the
-        // single baseline unit whose completion hands the app off under mu.
-        if (app.start_ms < 0.0) app.start_ms = wall.elapsed_ms();
-
-        if (app.classic) {
-          // The app's state is exclusively ours (one task per classic job),
-          // so the result lands without any lock.
-          app.result = run_one(*app.job, store, options.keep_dex);
-          ++classic_done;
-          continue;
+        // Only an app's first task finds it unstarted: every job's first
+        // wave is its single baseline unit. Starting here rather than up
+        // front keeps wave buffers allocated only while a job runs.
+        if (app.job == nullptr) {
+          start_app(app, jobs[task.app]);
+          app.start_ms = wall.elapsed_ms();
         }
 
         UnitOutput out = run_unit(*app.job, app.wave_units[task.slot]);
-        lock.lock();
-        app.wave_outputs[task.slot] = std::move(out);
-        bool wave_done = --app.outstanding == 0;
-        lock.unlock();
-        if (!wave_done) continue;  // wave still in flight elsewhere
+        if (app.wave_units.size() == 1) {
+          // A one-unit wave (every plain job, every force baseline) is owned
+          // by its only task; the queue pop under mu ordered this worker
+          // after the wave's setup, so the output lands without the lock.
+          app.wave_outputs[0] = std::move(out);
+        } else {
+          lock.lock();
+          app.wave_outputs[task.slot] = std::move(out);
+          bool wave_done = --app.outstanding == 0;
+          lock.unlock();
+          if (!wave_done) continue;  // wave still in flight elsewhere
+        }
 
-        // Last unit of the wave: this worker owns the app until it either
-        // enqueues the next wave or finishes the job.
-        advance_force_app(app, store, options.keep_dex);
+        // Wave done: this worker owns the app until it either enqueues the
+        // next wave or finishes the job.
+        advance_app(app, store, options.keep_dex);
         if (!app.wave_units.empty()) {
           size_t enqueued = app.wave_units.size();
           lock.lock();
@@ -475,12 +423,11 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
             cv.notify_all();
           }
         } else {
-          app.result.ok = app.result.ok && !app.failed;
           app.result.wall_ms = wall.elapsed_ms() - app.start_ms;
-          finish_apps(1);
+          ++finished;
         }
       }
-      if (classic_done > 0) finish_apps(classic_done);
+      if (finished > 0) finish_apps(finished);
       lock.lock();
     }
   };

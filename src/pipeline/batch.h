@@ -6,20 +6,21 @@
 //   -> reassemble (offline, Section IV-B)
 //   -> verify (structural + instruction-level DEX verification)
 //
-// The unit of work is an *(app, plan)* pair. A plain job is one unit (its
-// trivial plan: natural execution). A job with force execution enabled
-// expands into waves of units — a baseline collection run, then one unit
-// per ForceEngine plan — so a single app's path exploration shards across
-// the same workers that shard apps. Units are independent: each builds its
-// own Runtime/Collector, per-unit collections merge in plan order
-// (core::merge_collection), and the frontier is derived from order-
-// independent coverage unions, so the per-app output is byte-identical
-// whether the batch runs on 1 thread or 16 (asserted by
-// tests/pipeline_test.cpp). The only shared state is the content-addressed
-// DedupStore and the work queue. Per-app and fleet-wide stats (coverage,
-// leak counts, forced paths, dedup hit rate, wall/CPU time) ride along in
-// the report; bench/pipeline_throughput.cpp and bench/force_paths.cpp turn
-// them into throughput trajectories.
+// The unit of work is an *(app, plan)* pair, and every job takes one path:
+// a baseline collection run, then — with force execution enabled — waves of
+// one unit per ForceEngine plan, so a single app's path exploration shards
+// across the same workers that shard apps. A plain job is the one-unit case
+// (its trivial plan: natural execution). Units are independent: each builds
+// its own Runtime/Collector, forced units' collections merge into the
+// baseline's in plan order (core::merge_collection), and the frontier is
+// derived from order-independent coverage unions. The job then finishes
+// once: DexLego::reassemble_collection from the in-memory collection, then
+// intern. The per-app output is byte-identical whether the batch runs on 1
+// thread or 16 (asserted by tests/pipeline_test.cpp). The only shared state
+// is the content-addressed DedupStore and the work queue. Per-app and
+// fleet-wide stats (coverage, leak counts, forced paths, dedup hit rate,
+// wall/CPU time) ride along in the report; bench/pipeline_throughput.cpp and
+// bench/force_paths.cpp turn them into throughput trajectories.
 #pragma once
 
 #include <cstdint>
@@ -147,12 +148,11 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs,
                       const BatchOptions& options = {});
 
 // Runs ONE job start-to-finish on the calling thread, interning into
-// `store`: the exact per-job path run_batch's workers execute (classic jobs
-// through the single-unit reveal; force jobs through baseline + waves,
-// folded in plan order — the waves just run serially here instead of
-// sharding across a pool). The extraction service's workers use this to
-// multiplex many tenants' jobs onto one queue while reusing the batch
-// semantics bit for bit. Fail-closed like run_batch: never throws for job
+// `store`: the exact per-job path run_batch's workers execute (baseline,
+// then a force job's waves folded in plan order, then one finish — the
+// units just run serially here instead of sharding across a pool). The
+// extraction service's workers use this to multiplex many tenants' jobs onto
+// one queue while reusing the batch semantics bit for bit. Fail-closed like run_batch: never throws for job
 // failures.
 JobResult run_job(const BatchJob& job, DedupStore& store, bool keep_dex = true);
 

@@ -64,6 +64,30 @@ int lock_directory(const std::string& dir) {
   return fd;
 }
 
+// fsync(2)s `fd`, which holds `path`; throws when the data may not be durable.
+void sync_fd(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) {
+    throw std::runtime_error("persistent store: fsync failed for " + path +
+                             ": " + std::strerror(errno));
+  }
+}
+
+// Opens `path` (a file or a directory) read-only and fsyncs it.
+void sync_path(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw std::runtime_error("persistent store: cannot open " + path +
+                             " for fsync: " + std::strerror(errno));
+  }
+  try {
+    sync_fd(fd, path);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
+}
+
 }  // namespace
 
 PersistentDedupStore::DirLock::~DirLock() {
@@ -245,18 +269,15 @@ void PersistentDedupStore::write_index() {
   const std::string tmp = dir_ + "/index.tmp";
   const std::string path = dir_ + "/index.bin";
   support::write_file(tmp, w.data());
-  if (fsync_) {
-    if (std::FILE* f = std::fopen(tmp.c_str(), "rb")) {
-      ::fsync(fileno(f));
-      std::fclose(f);
-    }
-  }
+  if (fsync_) sync_path(tmp);
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
     throw std::runtime_error("persistent store: cannot publish index: " +
                              ec.message());
   }
+  // The rename itself is durable only once the directory entry is.
+  if (fsync_) sync_path(dir_);
 }
 
 void PersistentDedupStore::flush() {
@@ -266,7 +287,7 @@ void PersistentDedupStore::flush() {
       throw std::runtime_error("persistent store: flush failed for " +
                                segment_path(s));
     }
-    if (fsync_) ::fsync(fileno(segments_[s]));
+    if (fsync_) sync_fd(fileno(segments_[s]), segment_path(s));
   }
   ++generation_;
   write_index();
@@ -292,7 +313,7 @@ void PersistentDedupStore::persist(Id id, std::span<const uint8_t> content) {
         "persistent store: append failed for " + segment_path(s) +
         " (entry not inserted; log tail will be repaired on reopen)");
   }
-  if (fsync_) ::fsync(fileno(f));
+  if (fsync_) sync_fd(fileno(f), segment_path(s));
   segment_sizes_[s].fetch_add(kRecordHeaderBytes + content.size(),
                               std::memory_order_relaxed);
   segment_entries_[s].fetch_add(1, std::memory_order_relaxed);

@@ -66,9 +66,11 @@ class PersistentDedupStore : public pipeline::DedupStore {
     // count reopens fine: replay reads every shard-*.log present.
     size_t shards = 16;
     pipeline::DedupStore::HashFn hash;
-    // fsync(2) each appended record (and the index on flush). Default off:
-    // the crash model is process death, which loses only libc buffers we
-    // fflush eagerly anyway; power-loss durability costs an fsync per miss.
+    // fsync(2) each appended record (and on flush each segment, the index
+    // and, after the index rename, the directory); a failed fsync throws.
+    // Default off: the crash model is process death, which loses only libc
+    // buffers we fflush eagerly anyway; power-loss durability costs an fsync
+    // per miss.
     bool fsync = false;
     // Write the generation-stamped index on destruction. Tests set this
     // false to simulate a crash (no clean shutdown, index left stale).

@@ -298,8 +298,10 @@ void ExtractionService::execute(Record& record) {
   try {
     uint64_t key = 0;
     const bool cacheable = !job.force;  // force exploration is never cached
-    if (cacheable) key = cache_key(job);
-    if (cacheable && options_.incremental) warm = try_warm(job, key, result);
+    if (cacheable) {
+      key = cache_key(job);
+      warm = try_warm(job, key, result);
+    }
     if (!warm) {
       // keep_dex forced on: the revealed dex must be persisted for future
       // warm hits even when the caller does not want the bytes back.

@@ -77,7 +77,6 @@ struct ServiceOptions {
   size_t threads = 0;       // 0 = one worker per hardware thread
   size_t store_shards = 16; // PersistentDedupStore segment/shard count
   bool keep_dex = true;     // keep revealed dex bytes in JobStatus::result
-  bool incremental = true;  // serve manifest hits warm; false = always cold
   TenantQuota default_quota;  // applies to tenants without a set_quota entry
   bool fsync = false;         // fsync store appends (PersistentDedupStore)
 };

@@ -7,7 +7,12 @@
 // changes nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <span>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -287,33 +292,37 @@ TEST(DedupStore, IdenticalAppsInternToFullHits) {
 
 // --- run_batch vs the sequential path ---
 
+// Every deterministic output of one job, compared field by field.
+void expect_identical_jobs(const pipeline::JobResult& seq,
+                           const pipeline::JobResult& par) {
+  EXPECT_EQ(seq.name, par.name);
+  EXPECT_EQ(seq.ok, par.ok) << seq.name;
+  EXPECT_EQ(seq.verified, par.verified) << seq.name;
+  EXPECT_EQ(seq.leaks_observed, par.leaks_observed) << seq.name;
+  EXPECT_EQ(seq.dex_fingerprint, par.dex_fingerprint) << seq.name;
+  EXPECT_EQ(seq.dex, par.dex) << "reassembled DEX bytes differ: " << seq.name;
+  EXPECT_EQ(seq.reassemble.output_code_units, par.reassemble.output_code_units)
+      << seq.name;
+  EXPECT_EQ(seq.collection_bytes, par.collection_bytes) << seq.name;
+  EXPECT_DOUBLE_EQ(seq.instruction_coverage, par.instruction_coverage)
+      << seq.name;
+  EXPECT_DOUBLE_EQ(seq.branch_coverage, par.branch_coverage) << seq.name;
+  EXPECT_EQ(seq.forced_branches, par.forced_branches) << seq.name;
+  EXPECT_EQ(seq.force_paths, par.force_paths) << seq.name;
+  EXPECT_EQ(seq.force_waves, par.force_waves) << seq.name;
+  // Deterministic per-job dedup attribution: interns and unique trees are
+  // pure functions of the job's collection, so they must match at ANY
+  // schedule — unlike hits/misses, whose per-job split is advisory.
+  EXPECT_EQ(seq.dedup_interns, par.dedup_interns) << seq.name;
+  EXPECT_EQ(seq.unique_trees, par.unique_trees) << seq.name;
+  EXPECT_EQ(par.dedup_hits + par.dedup_misses, par.dedup_interns) << seq.name;
+}
+
 void expect_identical_reports(const pipeline::BatchReport& sequential,
                               const pipeline::BatchReport& parallel) {
   ASSERT_EQ(sequential.jobs.size(), parallel.jobs.size());
   for (size_t i = 0; i < sequential.jobs.size(); ++i) {
-    const pipeline::JobResult& seq = sequential.jobs[i];
-    const pipeline::JobResult& par = parallel.jobs[i];
-    EXPECT_EQ(seq.name, par.name);
-    EXPECT_EQ(seq.ok, par.ok) << seq.name;
-    EXPECT_EQ(seq.verified, par.verified) << seq.name;
-    EXPECT_EQ(seq.leaks_observed, par.leaks_observed) << seq.name;
-    EXPECT_EQ(seq.dex_fingerprint, par.dex_fingerprint) << seq.name;
-    EXPECT_EQ(seq.dex, par.dex) << "reassembled DEX bytes differ: " << seq.name;
-    EXPECT_EQ(seq.reassemble.output_code_units, par.reassemble.output_code_units)
-        << seq.name;
-    EXPECT_EQ(seq.collection_bytes, par.collection_bytes) << seq.name;
-    EXPECT_DOUBLE_EQ(seq.instruction_coverage, par.instruction_coverage)
-        << seq.name;
-    EXPECT_DOUBLE_EQ(seq.branch_coverage, par.branch_coverage) << seq.name;
-    EXPECT_EQ(seq.forced_branches, par.forced_branches) << seq.name;
-    EXPECT_EQ(seq.force_paths, par.force_paths) << seq.name;
-    EXPECT_EQ(seq.force_waves, par.force_waves) << seq.name;
-    // Deterministic per-job dedup attribution: interns and unique trees are
-    // pure functions of the job's collection, so they must match at ANY
-    // schedule — unlike hits/misses, whose per-job split is advisory.
-    EXPECT_EQ(seq.dedup_interns, par.dedup_interns) << seq.name;
-    EXPECT_EQ(seq.unique_trees, par.unique_trees) << seq.name;
-    EXPECT_EQ(par.dedup_hits + par.dedup_misses, par.dedup_interns) << seq.name;
+    expect_identical_jobs(sequential.jobs[i], parallel.jobs[i]);
   }
   // Per-job hit/miss attribution is scheduling-dependent; the fleet totals
   // and the store contents are not.
@@ -756,6 +765,128 @@ TEST(ForcePipeline, FailedForceJobIsIsolated) {
   EXPECT_FALSE(report.jobs[1].error.empty());
   EXPECT_TRUE(report.jobs[2].ok);
   EXPECT_EQ(report.fleet.ok, 2u);
+}
+
+// --- pinned outputs: plain and force jobs on one job path ------------------
+
+// The pinned batches: DroidBench and 200 market apps as plain jobs, then
+// DroidBench, guarded apps and fuzz mutants under force execution.
+std::vector<pipeline::BatchJob> pinned_plain_jobs() {
+  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
+  for (pipeline::BatchJob& job : pipeline::large_corpus_jobs(200)) {
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+std::vector<pipeline::BatchJob> pinned_force_jobs() {
+  std::vector<pipeline::BatchJob> jobs = pipeline::droidbench_jobs();
+  for (pipeline::BatchJob& job : pipeline::guarded_jobs(3)) {
+    jobs.push_back(std::move(job));
+  }
+  for (pipeline::BatchJob& job : pipeline::fuzz_jobs(24)) {
+    jobs.push_back(std::move(job));
+  }
+  pipeline::enable_force(jobs, {});
+  return jobs;
+}
+
+// One row of tests/data/pipeline/job_outputs.txt: every deterministic output
+// of a job, coverages as C hex floats so they compare exactly.
+std::string output_row(const char* kind, const pipeline::JobResult& job) {
+  const core::ReassembleStats& r = job.reassemble;
+  char coverage[64];
+  std::snprintf(coverage, sizeof coverage, "%a %a", job.instruction_coverage,
+                job.branch_coverage);
+  std::ostringstream row;
+  row << kind << ' ' << job.name << ' ' << job.ok << ' ' << std::hex
+      << job.dex_fingerprint << std::dec << ' ' << job.verified << ' '
+      << job.leaks_observed << ' ' << job.collection_bytes << ' '
+      << job.unique_trees << ' ' << job.dedup_interns << ' ' << r.classes
+      << ' ' << r.methods << ' ' << r.variants << ' ' << r.guards << ' '
+      << r.reflection_replaced << ' ' << r.pad_edges << ' '
+      << r.output_code_units << ' ' << job.forced_branches << ' '
+      << job.force_paths << ' ' << job.force_waves << ' ' << coverage;
+  return row.str();
+}
+
+TEST(PinnedOutputs, BatchMatchesPinnedTable) {
+  // tests/data/pipeline/job_outputs.txt pins every deterministic output of
+  // both job kinds; any change to the job path must reproduce it exactly.
+  pipeline::BatchOptions options;
+  options.threads = 4;
+  options.keep_dex = false;
+  std::vector<std::string> rows;
+  for (const pipeline::JobResult& job :
+       pipeline::run_batch(pinned_plain_jobs(), options).jobs) {
+    rows.push_back(output_row("plain", job));
+  }
+  for (const pipeline::JobResult& job :
+       pipeline::run_batch(pinned_force_jobs(), options).jobs) {
+    rows.push_back(output_row("force", job));
+  }
+
+  std::ifstream pins(std::string(DEXLEGO_PIPELINE_DATA_DIR) +
+                     "/job_outputs.txt");
+  ASSERT_TRUE(pins.good());
+  size_t row = 0;
+  for (std::string line; std::getline(pins, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    ASSERT_LT(row, rows.size());
+    EXPECT_EQ(rows[row], line) << "row " << row;
+    ++row;
+  }
+  EXPECT_EQ(row, rows.size());
+}
+
+TEST(PinnedOutputs, MixedPlainAndForceJobsMatchUnmixed) {
+  // Plain and force jobs interleaved in one batch share the queue, the
+  // workers and the store, yet each job's output equals its unmixed run.
+  std::vector<pipeline::BatchJob> plain = pipeline::generated_jobs(3);
+  for (pipeline::BatchJob& job : pipeline::large_corpus_jobs(12)) {
+    plain.push_back(std::move(job));
+  }
+  std::vector<pipeline::BatchJob> forced = pipeline::guarded_jobs(2);
+  for (pipeline::BatchJob& job : pipeline::fuzz_jobs(8)) {
+    forced.push_back(std::move(job));
+  }
+  std::vector<pipeline::BatchJob> droidbench = pipeline::droidbench_jobs();
+  for (size_t i = 0; i < 10 && i < droidbench.size(); ++i) {
+    plain.push_back(droidbench[i]);
+    forced.push_back(droidbench[i]);
+  }
+  pipeline::enable_force(forced, {});
+
+  pipeline::BatchOptions sequential;
+  sequential.threads = 1;
+  pipeline::BatchReport plain_ref = pipeline::run_batch(plain, sequential);
+  pipeline::BatchReport forced_ref = pipeline::run_batch(forced, sequential);
+
+  // Alternate the kinds, remembering where each mixed job came from.
+  std::vector<pipeline::BatchJob> mixed;
+  std::vector<const pipeline::JobResult*> expected;
+  for (size_t i = 0; i < std::max(plain.size(), forced.size()); ++i) {
+    if (i < plain.size()) {
+      mixed.push_back(plain[i]);
+      expected.push_back(&plain_ref.jobs[i]);
+    }
+    if (i < forced.size()) {
+      mixed.push_back(forced[i]);
+      expected.push_back(&forced_ref.jobs[i]);
+    }
+  }
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    pipeline::BatchOptions options;
+    options.threads = threads;
+    pipeline::BatchReport report = pipeline::run_batch(mixed, options);
+    ASSERT_EQ(report.jobs.size(), expected.size());
+    EXPECT_EQ(report.fleet.dedup_interns,
+              plain_ref.fleet.dedup_interns + forced_ref.fleet.dedup_interns);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      expect_identical_jobs(*expected[i], report.jobs[i]);
+    }
+  }
 }
 
 // Wall-clock scaling is no longer asserted here: a timing-ratio unit test is
